@@ -3,10 +3,18 @@
 The inner loop of every accelerator level (Section III-B steps 2-7):
 fetch a walk, sample its next stop, decrement hops, then guide it — into
 another loaded subgraph's queue (keep advancing), the completed buffer,
-or the roving buffer.  We advance the *whole batch* per iteration with
-NumPy and count hops / guide operations / ITS search steps so the caller
-can charge accurate updater and guider time (DESIGN.md Section 4:
-behaviorally exact trajectories, request-accurate timing).
+or the roving buffer.  We count hops / guide operations / ITS search
+steps so the caller can charge accurate updater and guider time
+(DESIGN.md Section 4: behaviorally exact trajectories, request-accurate
+timing).
+
+Two kernels implement the step.  :func:`advance_vectorized` advances
+the whole batch per iteration with NumPy; :func:`advance_per_walk` loops
+over the walks in Python, which is cheaper for the few-walk batches the
+engine mostly runs (its per-call NumPy overhead is gone).  The per-walk
+kernel makes the same RNG draws in the same order and returns the same
+walks in the same order, so :func:`advance_batch` picks between them by
+batch size alone (DESIGN.md Section 8, "host hot path").
 
 Dense-vertex rules (Section III-D): a walk *landing on* a dense vertex
 always exits as roving — it needs board-level pre-walking.  A walk
@@ -16,6 +24,7 @@ its dense block is loaded.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +37,21 @@ from ..walks.spec import WalkSpec
 from ..walks.state import WalkSet
 from .buffers import WalkBatch
 
-__all__ = ["AdvanceContext", "AdvanceResult", "advance_batch", "in_sorted"]
+__all__ = [
+    "AdvanceContext",
+    "AdvanceResult",
+    "PER_WALK_CROSSOVER",
+    "advance_batch",
+    "advance_per_walk",
+    "advance_vectorized",
+    "in_sorted",
+]
+
+#: Batches smaller than this run the per-walk kernel: the batch size at
+#: which both kernels took the same host time per call on batches
+#: recorded from the benchmark workloads (DESIGN.md Section 8, "host
+#: hot path").
+PER_WALK_CROSSOVER = 64
 
 
 def in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -54,13 +77,25 @@ class AdvanceContext:
     spec: WalkSpec
     sampler: object  # (cur, rng) -> next vertices, -1 at dead ends
     is_dense_vertex: np.ndarray  # bool per vertex
+    #: Each block's first vertex as Python ints (O(blocks)), the
+    #: per-walk kernel's copy of the mapping table.
+    block_lo: list[int]
 
     @classmethod
     def build(cls, graph, partitioning, spec, sampler) -> "AdvanceContext":
         dense = np.zeros(graph.num_vertices, dtype=bool)
         if partitioning.dense_meta:
             dense[np.fromiter(partitioning.dense_meta, dtype=np.int64)] = True
-        return cls(graph, partitioning, spec, sampler, dense)
+        return cls(
+            graph, partitioning, spec, sampler, dense, partitioning.block_lo.tolist()
+        )
+
+    @property
+    def uniform(self) -> bool:
+        """Unbiased walks on an unweighted graph: the sampler is
+        :func:`~repro.walks.sampling.uniform_next`, which the per-walk
+        kernel reproduces."""
+        return self.graph.weights is None and not self.spec.biased
 
 
 @dataclass
@@ -88,8 +123,146 @@ def advance_batch(
 
     ``batch.pre_edge`` entries >= 0 are resolved on the first iteration
     (their dense block must be in ``loaded_blocks``).  Returns completed
-    and roving walk sets plus the operation counts for timing.
+    and roving walk sets plus the operation counts for timing.  Batches
+    of fewer than :data:`PER_WALK_CROSSOVER` uniform walks take the
+    per-walk kernel; the result and the RNG state afterwards are the
+    same either way.
     """
+    if len(batch) < PER_WALK_CROSSOVER and ctx.uniform:
+        return advance_per_walk(ctx, batch, loaded_blocks, rng)
+    return advance_vectorized(ctx, batch, loaded_blocks, rng)
+
+
+def advance_per_walk(
+    ctx: AdvanceContext,
+    batch: WalkBatch,
+    loaded_blocks: list[int] | np.ndarray,
+    rng: np.random.Generator,
+) -> AdvanceResult:
+    """:func:`advance_vectorized` for uniform walks, one walk at a time.
+
+    Each iteration draws ``rng.random(k)`` for the ``k`` active walks
+    with out-edges, in active order, exactly as
+    :func:`~repro.walks.sampling.uniform_next` does, then
+    ``rng.random(m)`` for the ``m`` walks a stop probability may end.
+    Walk positions must be valid vertices: Python lists wrap negative
+    indices, so nothing here would catch one.
+    """
+    walks = batch.walks
+    src = walks.src.tolist()
+    cur = walks.cur.tolist()
+    hop = walks.hop.tolist()
+    pre = batch.pre_edge.tolist() if batch.pre_edge is not None else None
+    loaded = {int(b) for b in loaded_blocks}
+    n_cmp = max(1, len(loaded))  # guider compares against each loaded range
+    offset = ctx.graph.offsets.item
+    edge = ctx.graph.edges.item
+    is_dense = ctx.is_dense_vertex.item
+    block_lo = ctx.block_lo
+    stop_p = ctx.spec.stop_probability
+    random = rng.random
+
+    done_src: list[int] = []
+    done_cur: list[int] = []
+    done_hop: list[int] = []
+    rove_src: list[int] = []
+    rove_cur: list[int] = []
+    rove_hop: list[int] = []
+    hops = 0
+    guide_ops = 0
+    nxt = [-1] * len(src)
+    active = list(range(len(src)))
+    while active:
+        # Fetch + sample.  Pre-walked dense hops exist only on the first
+        # iteration; the rest share one draw per walk with out-edges.
+        draws = []
+        for i in active:
+            v = cur[i]
+            lo = offset(v)
+            deg = offset(v + 1) - lo
+            if pre is not None and pre[i] >= 0:
+                if pre[i] >= deg:
+                    raise ReproError("pre-walked edge index beyond vertex degree")
+                nxt[i] = edge(lo + pre[i])
+            elif deg:
+                draws.append((i, lo, deg))
+            else:
+                nxt[i] = -1
+        pre = None
+        if draws:
+            for (i, lo, deg), r in zip(draws, random(len(draws)).tolist()):
+                k = int(r * deg)
+                # guard the pathological rng.random() == 1.0 edge
+                nxt[i] = edge(lo + (k if k < deg else deg - 1))
+
+        # Decrement; dead ends and exhausted walks complete.
+        ended = set()
+        still = []
+        for i in active:
+            w = nxt[i]
+            if w < 0:
+                ended.add(i)
+                continue
+            hops += 1
+            cur[i] = w
+            hop[i] -= 1
+            if hop[i]:
+                still.append(i)
+            else:
+                ended.add(i)
+        if stop_p > 0 and still:
+            for i, r in zip(still, random(len(still)).tolist()):
+                if r < stop_p:
+                    ended.add(i)
+        guide_ops += len(active) * n_cmp
+
+        # Guiding: stay if the new vertex is not dense (dense landings
+        # need board pre-walking) and its block is loaded here.  Blocks
+        # of a dense vertex hold no other vertex, so a non-dense vertex's
+        # block is the last one starting at or before it.
+        staying = []
+        for i in active:
+            v = cur[i]
+            if i in ended:
+                done_src.append(src[i])
+                done_cur.append(v)
+                done_hop.append(hop[i])
+                continue
+            if not is_dense(v) and bisect_right(block_lo, v) - 1 in loaded:
+                staying.append(i)
+            else:
+                rove_src.append(src[i])
+                rove_cur.append(v)
+                rove_hop.append(hop[i])
+        active = staying
+
+    return AdvanceResult(
+        completed=_walk_set(done_src, done_cur, done_hop),
+        roving=_walk_set(rove_src, rove_cur, rove_hop),
+        hops=hops,
+        guide_ops=guide_ops,
+        bias_steps=0,
+    )
+
+
+def _walk_set(src: list[int], cur: list[int], hop: list[int]) -> WalkSet:
+    if not src:
+        return WalkSet.empty()
+    return WalkSet.trusted(
+        np.array(src, dtype=np.int64),
+        np.array(cur, dtype=np.int64),
+        np.array(hop, dtype=np.int64),
+    )
+
+
+def advance_vectorized(
+    ctx: AdvanceContext,
+    batch: WalkBatch,
+    loaded_blocks: list[int] | np.ndarray,
+    rng: np.random.Generator,
+) -> AdvanceResult:
+    """The batch-at-a-time kernel: every iteration advances all active
+    walks with NumPy.  Serves any sampler."""
     loaded = np.asarray(sorted(set(int(b) for b in loaded_blocks)), dtype=np.int64)
     walks = batch.walks
     n = len(walks)
@@ -175,7 +348,7 @@ def advance_batch(
         done_idx = active[done]
         if done_idx.size:
             completed_parts.append(
-                WalkSet(src[done_idx], cur[done_idx], hop[done_idx])
+                WalkSet.trusted(src[done_idx], cur[done_idx], hop[done_idx])
             )
         cont = active[~done]
         if cont.size == 0:
@@ -187,7 +360,9 @@ def advance_batch(
         stays = in_sorted(loaded, blocks) & ~ctx.is_dense_vertex[v]
         rove_idx = cont[~stays]
         if rove_idx.size:
-            roving_parts.append(WalkSet(src[rove_idx], cur[rove_idx], hop[rove_idx]))
+            roving_parts.append(
+                WalkSet.trusted(src[rove_idx], cur[rove_idx], hop[rove_idx])
+            )
         active = cont[stays]
 
     return AdvanceResult(

@@ -30,6 +30,7 @@ from ..common.errors import (
     InvariantViolation,
     PowerLossError,
     SimulationError,
+    WalkError,
 )
 from ..common.rng import RngRegistry, derive_seed
 from ..durability.integrity import RNG_STREAM, IntegrityTracker
@@ -402,9 +403,15 @@ class FlashWalker:
         ``starts`` array must be given.  With ``record_finals`` the
         result carries every completed walk's (src, final vertex) pair —
         the raw material of PPR and endpoint-sampling applications.
-        Returns a :class:`RunResult`.
+        Returns a :class:`RunResult`.  A start outside the graph raises
+        :class:`WalkError` before the run begins.
         """
         self.spec = (spec or WalkSpec()).validate(self.graph)
+        if starts is not None:
+            starts = np.asarray(starts, dtype=np.int64)
+            if starts.size == 0:
+                raise SimulationError("empty starts array")
+            self._check_positions(starts)
         self._reset_run_state()
         self._checkpoints.clear()
         self._crashes_fired = 0
@@ -417,10 +424,6 @@ class FlashWalker:
             starts = start_vertices(
                 self.graph, num_walks, self.rngs.fresh("starts")
             )
-        else:
-            starts = np.asarray(starts, dtype=np.int64)
-            if starts.size == 0:
-                raise SimulationError("empty starts array")
         self.total_walks = int(starts.size)
         self.in_transit = self.total_walks
         sampler = make_sampler(self.graph)
@@ -505,14 +508,19 @@ class FlashWalker:
         Must be called from inside a simulator event (the service
         layer's dispatch events); the walks enter through the normal
         board-direct path and are accounted exactly like a batch run's.
+        Raises :class:`WalkError`, before anything is scheduled, for a
+        position outside the graph or a walk without 1 to
+        ``spec.length`` hops left.
         """
         n = len(walks)
         if n == 0:
             return
-        if walks.hop.size and int(walks.hop.max()) > self.spec.length:
-            raise SimulationError(
-                f"injected walk length {int(walks.hop.max())} exceeds the "
-                f"session spec length {self.spec.length}"
+        self._check_positions(walks.cur)
+        lo, hi = int(walks.hop.min()), int(walks.hop.max())
+        if lo < 1 or hi > self.spec.length:
+            raise WalkError(
+                f"injected walks have {lo}..{hi} hops left; each needs 1 to "
+                f"the session spec length {self.spec.length}"
             )
         self.total_walks += n
         self.in_transit += n
@@ -529,6 +537,15 @@ class FlashWalker:
         if "ftlgc" not in self._dur_events:
             self._arm_ftl_gc()
         self._board_direct(walks, scoped=False)
+
+    def _check_positions(self, cur: np.ndarray) -> None:
+        """Reject walk positions outside the graph.  Walks entering the
+        engine are checked here once; its internal paths trust them."""
+        nv = self.graph.num_vertices
+        if cur.ndim != 1:
+            raise WalkError(f"walk positions must be 1-D, got shape {cur.shape}")
+        if cur.size and (int(cur.min()) < 0 or int(cur.max()) >= nv):
+            raise WalkError(f"walk position out of vertex range [0, {nv})")
 
     def _finalize_run(self) -> RunResult:
         """Shared completion path of run() and resume()."""
@@ -762,7 +779,7 @@ class FlashWalker:
                         + pw.edge_offset[at_hot]
                         + self.part.block_edge_lo[pw.block[at_hot]]
                     )
-                    nxt = self.graph.edges[edge_idx]
+                    nxt = self.graph.edges[edge_idx].astype(np.int64, copy=False)
                     hop = hw.hop - 1
                     acc = self.cfg.levels.board
                     busy += (
@@ -783,9 +800,13 @@ class FlashWalker:
                             t,
                             n_done,
                             sink="board",
-                            walks=WalkSet(hw.src[done], nxt[done], hop[done]),
+                            walks=WalkSet.trusted(
+                                hw.src[done], nxt[done], hop[done]
+                            ),
                         )
-                    survivors = WalkSet(hw.src[~done], nxt[~done], hop[~done])
+                    survivors = WalkSet.trusted(
+                        hw.src[~done], nxt[~done], hop[~done]
+                    )
                     walks = WalkSet.concat([walks, survivors])
                     dense_walks = dense_walks.select(~at_hot)
                     pw_block = pw.block[~at_hot]

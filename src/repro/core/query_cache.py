@@ -8,13 +8,11 @@ work: upper-level binary-search-tree nodes recur, and power-law graphs
 concentrate walks in few hot subgraphs.
 
 The cache is modeled at *entry granularity with LRU replacement*: keys
-are subgraph (block) IDs.  Batched queries are *exactly* equivalent to
-probing each element in arrival order: hit/miss counts, evictions and
-final recency all match the sequential :meth:`WalkQueryCache.probe`
-oracle.  When the batch's unique blocks fit in the cache this is done
-in O(unique) (no batch entry can be evicted mid-batch, so every repeat
-is a hit); otherwise the batch is replayed element-by-element, since
-interleaved installs may evict a block before its repeat arrives.
+are subgraph (block) IDs.  Batched queries probe each element in
+arrival order with :meth:`WalkQueryCache.probe`, so hit/miss counts,
+evictions and final recency are those of the sequential oracle by
+construction.  Batches are a handful of walks in practice, where a
+plain loop beats any NumPy de-duplication.
 """
 
 from __future__ import annotations
@@ -57,56 +55,15 @@ class WalkQueryCache:
     def probe_batch(self, block_ids: np.ndarray) -> tuple[int, int]:
         """Query a batch in arrival order; returns (hits, misses).
 
-        Semantically identical to ``for b in block_ids: self.probe(b)``.
-        The fast path processes unique blocks in first-appearance order:
-        while the batch's distinct blocks fit in the cache, a batch entry
-        is always more recently used than any pre-existing entry, so no
-        batch block can be evicted mid-batch and every repeat is a hit.
-        If the distinct blocks exceed capacity that invariant breaks (an
-        install may evict a block before its repeat arrives), so the
-        batch is replayed element-by-element instead.
+        Exactly ``for b in block_ids: self.probe(b)``.
         """
-        block_ids = np.asarray(block_ids, dtype=np.int64)
-        n = int(block_ids.size)
-        if n == 0:
-            return 0, 0
-        uniq, first_idx = np.unique(block_ids, return_index=True)
-        if uniq.size > self.n_entries:
-            # Exact sequential replay; consecutive duplicates are
-            # collapsed first (the entry was touched by the immediately
-            # preceding probe, so they are guaranteed hits that change
-            # neither membership nor recency).
-            keep = np.empty(n, dtype=bool)
-            keep[0] = True
-            np.not_equal(block_ids[1:], block_ids[:-1], out=keep[1:])
-            dup_hits = n - int(keep.sum())
-            hits = dup_hits
-            misses = 0
-            self.hits += dup_hits
-            for b in block_ids[keep].tolist():
-                if self.probe(b):
-                    hits += 1
-                else:
-                    misses += 1
-            return hits, misses
+        ids = np.asarray(block_ids, dtype=np.int64).tolist()
+        probe = self.probe
         hits = 0
-        misses = 0
-        for b in uniq[np.argsort(first_idx, kind="stable")].tolist():
-            if self.probe(b):  # probe() counts this first query
+        for b in ids:
+            if probe(b):
                 hits += 1
-            else:
-                misses += 1
-        n_repeats = n - int(uniq.size)
-        if n_repeats:
-            # Every repeat hits its (still resident) entry.
-            self.hits += n_repeats
-            hits += n_repeats
-            # Recency must reflect each block's *last* appearance, as the
-            # sequential oracle's repeat probes would have refreshed it.
-            last_idx = (n - 1) - np.unique(block_ids[::-1], return_index=True)[1]
-            for b in uniq[np.argsort(last_idx, kind="stable")].tolist():
-                self._lru.move_to_end(b)
-        return hits, misses
+        return hits, len(ids) - hits
 
     def __contains__(self, block_id: int) -> bool:
         """Non-mutating residency check (no LRU refresh, no counters)."""
@@ -154,24 +111,16 @@ class QueryCacheArray:
         self.caches = [WalkQueryCache(entries_per_cache) for _ in range(n_caches)]
 
     def probe_batch(self, block_ids: np.ndarray) -> tuple[int, int]:
-        """Shard a batch across the caches; returns (hits, misses).
-
-        Each shard's sub-batch keeps the batch's arrival order (boolean
-        selection is order-preserving), and the caches are independent,
-        so the result is identical to probing every element sequentially
-        against its cache.
-        """
-        block_ids = np.asarray(block_ids, dtype=np.int64)
-        if block_ids.size == 0:
-            return 0, 0
-        shard = block_ids % len(self.caches)
+        """Probe each block, in arrival order, against its shard's cache;
+        returns (hits, misses)."""
+        ids = np.asarray(block_ids, dtype=np.int64).tolist()
+        caches = self.caches
+        n_caches = len(caches)
         hits = 0
-        misses = 0
-        for i in np.unique(shard).tolist():
-            h, m = self.caches[i].probe_batch(block_ids[shard == i])
-            hits += h
-            misses += m
-        return hits, misses
+        for b in ids:
+            if caches[b % n_caches].probe(b):
+                hits += 1
+        return hits, len(ids) - hits
 
     def invalidate(self) -> None:
         """Drop all entries (partition switch: table contents change)."""

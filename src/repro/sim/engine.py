@@ -40,13 +40,6 @@ class Event:
         """Mark the event dead; it will be skipped when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.9f}, prio={self.priority}, {state})"
@@ -66,7 +59,9 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        self._queue: list[Event] = []
+        #: Heap of ``(time, priority, seq, event)``: tuples compare in C,
+        #: and the unique ``seq`` settles every tie before the event.
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._events_executed = 0
         self._running = False
@@ -82,8 +77,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past: t={time} < now={self.now}"
             )
-        ev = Event(time, priority, next(self._seq), fn)
-        heapq.heappush(self._queue, ev)
+        seq = next(self._seq)
+        ev = Event(time, priority, seq, fn)
+        heapq.heappush(self._queue, (time, priority, seq, ev))
         return ev
 
     def after(self, delay: float, fn: Callable[[], None], priority: int = 0) -> Event:
@@ -97,7 +93,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if queue empty."""
         while self._queue:
-            ev = heapq.heappop(self._queue)
+            ev = heapq.heappop(self._queue)[3]
             if ev.cancelled:
                 continue
             if ev.time < self.now:  # pragma: no cover - defensive
@@ -150,15 +146,15 @@ class Simulator:
                 self.profiler.loop_stopped()
 
     def _peek(self) -> Event | None:
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        return self._queue[0][3] if self._queue else None
 
     # -- introspection --------------------------------------------------------
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     @property
     def events_executed(self) -> int:

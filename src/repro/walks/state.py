@@ -39,9 +39,24 @@ class WalkSet:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
+    def trusted(cls, src: np.ndarray, cur: np.ndarray, hop: np.ndarray) -> "WalkSet":
+        """Wrap arrays without validation or conversion.
+
+        For internal builds whose inputs are already aligned 1-D int64
+        arrays with non-negative hops (subsets and concatenations of
+        valid sets, kernel outputs).  Outside input goes through
+        ``WalkSet(...)`` or :meth:`start`, which validate.
+        """
+        ws = cls.__new__(cls)
+        ws.src = src
+        ws.cur = cur
+        ws.hop = hop
+        return ws
+
+    @classmethod
     def empty(cls) -> "WalkSet":
         z = np.zeros(0, dtype=np.int64)
-        return cls(z, z.copy(), z.copy())
+        return cls.trusted(z, z.copy(), z.copy())
 
     @classmethod
     def start(cls, starts: np.ndarray, length: int) -> "WalkSet":
@@ -63,7 +78,7 @@ class WalkSet:
             return cls.empty()
         if len(sets) == 1:
             return sets[0]
-        return cls(
+        return cls.trusted(
             np.concatenate([s.src for s in sets]),
             np.concatenate([s.cur for s in sets]),
             np.concatenate([s.hop for s in sets]),
@@ -72,11 +87,11 @@ class WalkSet:
     # -- basics ---------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return int(self.src.size)
+        return self.src.size
 
     def select(self, mask_or_idx: np.ndarray) -> "WalkSet":
         """Subset by boolean mask or index array (copies)."""
-        return WalkSet(
+        return WalkSet.trusted(
             self.src[mask_or_idx], self.cur[mask_or_idx], self.hop[mask_or_idx]
         )
 
@@ -90,7 +105,7 @@ class WalkSet:
         return self.select(mask), self.select(~mask)
 
     def copy(self) -> "WalkSet":
-        return WalkSet(self.src.copy(), self.cur.copy(), self.hop.copy())
+        return WalkSet.trusted(self.src.copy(), self.cur.copy(), self.hop.copy())
 
     def nbytes(self, walk_bytes: int) -> int:
         """Buffer footprint at ``walk_bytes`` per record."""

@@ -2,11 +2,39 @@
 
 from __future__ import annotations
 
+import resource
+import sys
+
 import numpy as np
 import pytest
 
 from repro.common import FlashWalkerConfig, RngRegistry
 from repro.graph import CSRGraph, partition_graph, powerlaw_graph, rmat
+
+#: Most a single test body may raise the process's peak resident set.
+#: The suite must run on an 8 GB host; one stray full-population array
+#: (``np.arange(10**9)``) is 8 GB on its own.
+RSS_GROWTH_LIMIT = 1 << 30
+
+
+def _peak_rss_bytes() -> int:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024  # KiB on Linux
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test whose body raises peak RSS by more than the limit."""
+    before = _peak_rss_bytes()
+    result = yield
+    grown = _peak_rss_bytes() - before
+    if grown > RSS_GROWTH_LIMIT:
+        pytest.fail(
+            f"{item.nodeid} raised peak RSS by {grown / 2**20:.0f} MiB "
+            f"(limit {RSS_GROWTH_LIMIT / 2**20:.0f} MiB)",
+            pytrace=False,
+        )
+    return result
 
 
 @pytest.fixture

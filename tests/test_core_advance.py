@@ -5,7 +5,19 @@ import pytest
 
 from repro.common import ReproError
 from repro.core import AdvanceContext, WalkBatch, advance_batch
-from repro.graph import partition_graph, path_graph, ring_graph, star_graph
+from repro.core.advance import (
+    PER_WALK_CROSSOVER,
+    advance_per_walk,
+    advance_vectorized,
+)
+from repro.graph import (
+    CSRGraph,
+    partition_graph,
+    path_graph,
+    powerlaw_graph,
+    ring_graph,
+    star_graph,
+)
 from repro.walks import WalkSet, WalkSpec, make_sampler
 
 
@@ -148,3 +160,93 @@ class TestBiased:
         batch = WalkBatch(WalkSet.start(np.arange(50), 4))
         res = advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
         assert res.bias_steps == 0
+
+
+class TestKernelsAgree:
+    """The per-walk kernel is a host-time twin of the vectorized one:
+    same walks out in the same order, same counts, same RNG draws."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        # Power-law graph with dense vertices under 4 KB blocks, plus
+        # every 7th vertex stripped of its out-edges (dead ends).
+        g = powerlaw_graph(2000, 60_000, np.random.default_rng(5), exponent=0.9)
+        src, dst = g.to_edge_list()
+        keep = src % 7 != 3
+        return CSRGraph.from_edge_list(src[keep], dst[keep], num_vertices=2000)
+
+    @staticmethod
+    def random_batch(g, part, rng, n, length):
+        cur = rng.integers(0, g.num_vertices, size=n)
+        dense = np.fromiter(part.dense_meta, dtype=np.int64)
+        at_dense = rng.random(n) < 0.3
+        cur[at_dense] = rng.choice(dense, size=int(at_dense.sum()))
+        hop = rng.integers(1, length + 1, size=n)
+        walks = WalkSet(rng.integers(0, 10**6, size=n), cur, hop)
+        # Pre-walked edges for about half the walks at dense vertices.
+        pre = np.full(n, -1, dtype=np.int64)
+        degs = g.out_degree(cur)
+        pick = at_dense & (rng.random(n) < 0.5)
+        pre[pick] = (rng.random(int(pick.sum())) * degs[pick]).astype(np.int64)
+        return WalkBatch(walks, pre if pick.any() else None)
+
+    @pytest.mark.parametrize("stop_probability", [0.0, 0.3])
+    @pytest.mark.parametrize("case", range(12))
+    def test_same_walks_counts_and_draws(self, graph, case, stop_probability):
+        part = partition_graph(graph, 4096)
+        assert part.dense_meta and (graph.out_degrees() == 0).any()
+        spec = WalkSpec(length=8, stop_probability=stop_probability)
+        ctx = AdvanceContext.build(graph, part, spec, make_sampler(graph))
+        assert ctx.uniform
+        gen = np.random.default_rng([case, int(stop_probability * 10)])
+        for n in gen.integers(1, 2 * PER_WALK_CROSSOVER + 1, size=6).tolist():
+            batch = self.random_batch(graph, part, gen, n, spec.length)
+            n_loaded = int(gen.integers(1, part.num_blocks + 1))
+            loaded = gen.choice(part.num_blocks, size=n_loaded, replace=False)
+            seed = int(gen.integers(2**32))
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            a = advance_per_walk(ctx, batch, loaded, rng_a)
+            b = advance_vectorized(ctx, batch, loaded, rng_b)
+            for got, want in ((a.completed, b.completed), (a.roving, b.roving)):
+                for field in ("src", "cur", "hop"):
+                    np.testing.assert_array_equal(
+                        getattr(got, field), getattr(want, field)
+                    )
+                    assert getattr(got, field).dtype == np.int64
+            assert (a.hops, a.guide_ops, a.bias_steps) == (
+                b.hops,
+                b.guide_ops,
+                b.bias_steps,
+            )
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_bad_pre_edge_rejected_before_any_draw(self, graph):
+        part = partition_graph(graph, 4096)
+        ctx = AdvanceContext.build(graph, part, WalkSpec(length=4), make_sampler(graph))
+        v = int(next(iter(part.dense_meta)))
+        walks = WalkSet(np.array([0, 1]), np.array([5, v]), np.array([4, 4]))
+        batch = WalkBatch(walks, np.array([-1, graph.out_degree(v)]))
+        for kernel in (advance_per_walk, advance_vectorized):
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            with pytest.raises(ReproError):
+                kernel(ctx, batch, list(range(part.num_blocks)), rng)
+            assert rng.bit_generator.state == before
+
+    def test_weighted_graphs_stay_vectorized(self, rng, small_graph):
+        """The alias sampler draws twice per walk, so small batches on a
+        weighted graph must not take the uniform per-walk kernel."""
+        from repro.graph import add_random_weights
+
+        g = add_random_weights(small_graph, rng)
+        part = partition_graph(g, 4096)
+        ctx = AdvanceContext.build(g, part, WalkSpec(length=4), make_sampler(g))
+        assert not ctx.uniform
+        batch = WalkBatch(WalkSet.start(np.arange(8), 4))
+        loaded = list(range(part.num_blocks))
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        a = advance_batch(ctx, batch, loaded, rng_a)
+        b = advance_vectorized(ctx, batch, loaded, rng_b)
+        np.testing.assert_array_equal(a.completed.cur, b.completed.cur)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state

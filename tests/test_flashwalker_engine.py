@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.common import FlashWalkerConfig, RngRegistry, SimulationError
+from repro.common import FlashWalkerConfig, RngRegistry, SimulationError, WalkError
 from repro.core import FlashWalker
 from repro.graph import powerlaw_graph, ring_graph, rmat, star_graph
 from repro.graph.generators import add_random_weights
-from repro.walks import WalkSpec
+from repro.walks import WalkSet, WalkSpec
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +215,39 @@ class TestBandwidthSeries:
         fw, res = medium_run
         t, bw = res.bandwidth_series(rebins=20)["flash_read"]
         assert bw.max() <= fw.cfg.ssd.aggregate_flash_read_bytes_per_sec * 1.01
+
+
+class TestBoundaryValidation:
+    """Walks are checked where they enter the engine, before anything is
+    scheduled; its internal paths trust them from then on."""
+
+    @pytest.mark.parametrize("bad", [-1, 2048])
+    def test_run_rejects_out_of_range_start(self, medium_graph, bad):
+        fw = FlashWalker(medium_graph, seed=1)
+        with pytest.raises(WalkError):
+            fw.run(spec=WalkSpec(length=4), starts=np.array([0, bad, 5]))
+        assert fw.sim.pending_events == 0
+
+    @pytest.mark.parametrize(
+        "cur, hop",
+        [
+            ([0, -1], [4, 4]),  # position below the graph
+            ([0, 2048], [4, 4]),  # position past the last vertex
+            ([0, 1], [4, -1]),  # negative hops
+            ([0, 1], [4, 0]),  # nothing left to walk
+            ([0, 1], [4, 5]),  # longer than the session's spec
+        ],
+    )
+    def test_inject_rejects_bad_walks(self, medium_graph, cur, hop):
+        fw = FlashWalker(medium_graph, seed=1)
+        fw.start_session(WalkSpec(length=4), expected_walks=8)
+        pending = fw.sim.pending_events
+        # trusted(): the public constructor would already refuse the
+        # negative hop; inject_walks must not rely on that.
+        walks = WalkSet.trusted(
+            np.array([7, 8]), np.array(cur, dtype=np.int64), np.array(hop, dtype=np.int64)
+        )
+        with pytest.raises(WalkError):
+            fw.inject_walks(walks)
+        assert fw.sim.pending_events == pending
+        assert fw.total_walks == 0
