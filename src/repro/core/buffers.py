@@ -16,6 +16,8 @@ chosen edge index (``pre_edge``), resolved when the block loads.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from ..common.errors import BufferOverflowError, ReproError
@@ -42,7 +44,11 @@ class WalkBatch:
 
     @staticmethod
     def merge(batches: list["WalkBatch"]) -> "WalkBatch":
-        """Concatenate; pre_edge becomes -1 where a batch had none."""
+        """Concatenate; pre_edge becomes -1 where a batch had none.
+
+        The buffer itself keeps flat lists (:class:`BlockEntry`);
+        perfbench's per-layer target list still names this method.
+        """
         batches = [b for b in batches if len(b)]
         if not batches:
             return WalkBatch(WalkSet.empty(), np.zeros(0, dtype=np.int64))
@@ -59,14 +65,34 @@ class WalkBatch:
 
 
 class BlockEntry:
-    """One partition-walk-buffer entry: buffered (DRAM) + spilled (flash)."""
+    """One partition-walk-buffer entry: buffered (DRAM) + spilled (flash).
 
-    __slots__ = ("buffered", "spilled", "buffered_count", "spilled_count")
+    Walks are kept as flat per-field lists in push order.  Spills move
+    whole batches out of the oldest end, so the spilled walks are always
+    the first ``spilled_count`` walks in push order; ``batch_lens`` holds
+    the lengths of the batches still buffered, oldest first.
+    """
 
-    def __init__(self):
-        self.buffered: list[WalkBatch] = []
-        self.spilled: list[WalkBatch] = []
-        self.buffered_count = 0
+    __slots__ = (
+        "src", "cur", "hop", "pre_edge", "batch_lens",
+        "buffered_count", "spilled_count",
+    )
+
+    def __init__(self, src: list | None = None, cur: list | None = None,
+                 hop: list | None = None, pre_edge: list | None = None):
+        """An empty entry, or one holding a single buffered batch given
+        as aligned per-field lists (kept, not copied)."""
+        if src is None:
+            src, cur, hop = [], [], []
+        self.src: list[int] = src
+        self.cur: list[int] = cur
+        self.hop: list[int] = hop
+        #: Pre-walked edge per walk, -1 where none; None until a batch
+        #: with pre-walked edges arrives.
+        self.pre_edge: list[int] | None = pre_edge
+        n = len(src)
+        self.batch_lens: deque[int] = deque((n,) if n else ())
+        self.buffered_count = n
         self.spilled_count = 0
 
     @property
@@ -74,8 +100,28 @@ class BlockEntry:
         return self.buffered_count + self.spilled_count
 
     def push(self, batch: WalkBatch) -> None:
-        self.buffered.append(batch)
-        self.buffered_count += len(batch)
+        w, pre = batch.walks, batch.pre_edge
+        self.extend(
+            w.src.tolist(), w.cur.tolist(), w.hop.tolist(),
+            None if pre is None else pre.tolist(),
+        )
+
+    def extend(self, src: list, cur: list, hop: list, pre_edge: list | None) -> None:
+        """Append one batch given as aligned per-field lists."""
+        n = len(src)
+        if not n:
+            return
+        if pre_edge is not None:
+            if self.pre_edge is None:
+                self.pre_edge = [-1] * len(self.src)
+            self.pre_edge.extend(pre_edge)
+        elif self.pre_edge is not None:
+            self.pre_edge.extend([-1] * n)
+        self.src.extend(src)
+        self.cur.extend(cur)
+        self.hop.extend(hop)
+        self.batch_lens.append(n)
+        self.buffered_count += n
 
     def spill_overflow(self, capacity: int) -> int:
         """Move buffered walks beyond ``capacity`` to the spilled side.
@@ -91,23 +137,60 @@ class BlockEntry:
                 occupancy=self.buffered_count,
             )
         spilled = 0
-        while self.buffered_count > capacity and self.buffered:
-            batch = self.buffered.pop(0)
-            self.buffered_count -= len(batch)
-            self.spilled.append(batch)
-            self.spilled_count += len(batch)
-            spilled += len(batch)
+        lens = self.batch_lens
+        while self.buffered_count > capacity and lens:
+            n = lens.popleft()
+            self.buffered_count -= n
+            spilled += n
+        self.spilled_count += spilled
         return spilled
 
     def drain(self) -> tuple[WalkBatch, int, int]:
-        """Take everything; returns (merged batch, n_buffered, n_spilled)."""
+        """Take everything; returns (batch, n_buffered, n_spilled).
+
+        The batch holds the buffered walks, then the spilled ones, each
+        in push order: push order rotated left by ``spilled_count``.
+        ``pre_edge`` is None unless some walk had a pre-walked edge.
+        """
         nb, ns = self.buffered_count, self.spilled_count
-        merged = WalkBatch.merge(self.buffered + self.spilled)
-        self.buffered = []
-        self.spilled = []
-        self.buffered_count = 0
-        self.spilled_count = 0
-        return merged, nb, ns
+        fields = [self.src, self.cur, self.hop]
+        has_pre = self.pre_edge is not None
+        if has_pre:
+            fields.append(self.pre_edge)
+        self.src, self.cur, self.hop, self.pre_edge = [], [], [], None
+        self.batch_lens.clear()
+        self.buffered_count = self.spilled_count = 0
+        if ns and nb:
+            fields = [xs[ns:] + xs[:ns] for xs in fields]
+        # One conversion for all fields; each row is a contiguous array.
+        rows = np.array(fields, dtype=np.int64)
+        walks = WalkSet.trusted(rows[0], rows[1], rows[2])
+        return WalkBatch(walks, rows[3] if has_pre else None), nb, ns
+
+    def state(self) -> tuple:
+        """Copy for a checkpoint: ``(src, cur, hop, pre_edge or None,
+        buffered batch lengths, spilled_count)``, fields as int64 arrays."""
+        def arr(xs):
+            return np.array(xs, dtype=np.int64)
+
+        return (
+            arr(self.src), arr(self.cur), arr(self.hop),
+            None if self.pre_edge is None else arr(self.pre_edge),
+            list(self.batch_lens), self.spilled_count,
+        )
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "BlockEntry":
+        """Inverse of :meth:`state`."""
+        src, cur, hop, pre, lens, ns = state
+        e = cls(
+            src.tolist(), cur.tolist(), hop.tolist(),
+            None if pre is None else pre.tolist(),
+        )
+        e.batch_lens = deque(lens)
+        e.buffered_count = sum(lens)
+        e.spilled_count = ns
+        return e
 
 
 class PartitionWalkBuffer:
@@ -125,40 +208,89 @@ class PartitionWalkBuffer:
         self.last_block = last_block
         self.entry_capacity = entry_capacity
         self.dense_entry_capacity = dense_entry_capacity
-        self._is_dense = is_dense_block
+        # Entry capacity per block of the partition (local index).
+        self._caps = [
+            dense_entry_capacity if d else entry_capacity
+            for d in is_dense_block[first_block : last_block + 1].tolist()
+        ]
         self._entries: dict[int, BlockEntry] = {}
         self.spill_events = 0
         self.walks_spilled = 0
 
-    def _entry(self, block_id: int) -> BlockEntry:
-        if not self.first_block <= block_id <= self.last_block:
+    def _check_range(self, lo: int, hi: int) -> None:
+        """Raise unless blocks ``lo..hi`` lie inside the partition."""
+        bad = lo if lo < self.first_block else hi
+        if not self.first_block <= bad <= self.last_block:
             raise BufferOverflowError(
-                f"block {block_id} outside partition "
+                f"block {bad} outside partition "
                 f"[{self.first_block}, {self.last_block}]",
-                block=block_id,
+                block=bad,
             )
-        e = self._entries.get(block_id)
-        if e is None:
-            e = BlockEntry()
-            self._entries[block_id] = e
-        return e
 
     def capacity_of(self, block_id: int) -> int:
-        return (
-            self.dense_entry_capacity
-            if self._is_dense[block_id]
-            else self.entry_capacity
-        )
+        self._check_range(block_id, block_id)
+        return self._caps[block_id - self.first_block]
 
-    def push(self, block_id: int, batch: WalkBatch) -> int:
-        """Insert walks; returns how many spilled due to entry overflow."""
-        e = self._entry(block_id)
-        e.push(batch)
-        spilled = e.spill_overflow(self.capacity_of(block_id))
-        if spilled:
-            self.spill_events += 1
-            self.walks_spilled += spilled
-        return spilled
+    def push(self, blocks: np.ndarray, batch: WalkBatch) -> list[tuple[int, int, int]]:
+        """Insert a directed batch: walk ``i`` waits for ``blocks[i]``.
+
+        Entries are visited in ascending block ID; each receives its
+        walks in arrival order as one batch, then spills any overflow.
+        Returns ``(block, n_walks, n_spilled)`` per visited entry, in
+        the same order.
+        """
+        keys = np.asarray(blocks).tolist()
+        if len(keys) != len(batch):
+            raise BufferOverflowError(
+                f"{len(keys)} block IDs for a batch of {len(batch)} walks"
+            )
+        if not keys:
+            return []
+        w, pre = batch.walks, batch.pre_edge
+        # Per block: (src, cur, hop, pre_edge or None) lists, arrival order.
+        groups: dict[int, tuple] = {}
+        if pre is None:
+            for b, s, c, h in zip(
+                keys, w.src.tolist(), w.cur.tolist(), w.hop.tolist()
+            ):
+                g = groups.get(b)
+                if g is None:
+                    groups[b] = ([s], [c], [h], None)
+                else:
+                    g[0].append(s)
+                    g[1].append(c)
+                    g[2].append(h)
+        else:
+            for b, s, c, h, p in zip(
+                keys, w.src.tolist(), w.cur.tolist(), w.hop.tolist(),
+                pre.tolist(),
+            ):
+                g = groups.get(b)
+                if g is None:
+                    groups[b] = ([s], [c], [h], [p])
+                else:
+                    g[0].append(s)
+                    g[1].append(c)
+                    g[2].append(h)
+                    g[3].append(p)
+        order = sorted(groups)
+        self._check_range(order[0], order[-1])
+        entries, caps, first = self._entries, self._caps, self.first_block
+        out = []
+        for b in order:
+            src, cur, hop, pe = groups[b]
+            e = entries.get(b)
+            if e is None:
+                e = entries[b] = BlockEntry(src, cur, hop, pe)
+            else:
+                e.extend(src, cur, hop, pe)
+            cap = caps[b - first]
+            spilled = e.spill_overflow(cap) if e.buffered_count > cap else 0
+            if spilled:
+                self.spill_events += 1
+                self.walks_spilled += spilled
+            out.append((b, len(src), spilled))
+        return out
 
     def drain(self, block_id: int) -> tuple[WalkBatch, int, int]:
         """Take all walks waiting for ``block_id``."""

@@ -909,21 +909,14 @@ class FlashWalker:
         nbytes = n * self.cfg.walk_bytes
         self.ssd.dram.write(t, nbytes)
         self.metrics.record_dram(t, nbytes)
-        order = np.argsort(blocks, kind="stable")
-        sblocks = blocks[order]
-        swalks = walks.select(order)
-        spre = pre_edge[order] if pre_edge is not None else None
-        bounds = np.flatnonzero(np.diff(sblocks)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [n]])
-        for s, e in zip(starts, ends):
-            block = int(sblocks[s])
-            group = swalks.select(np.arange(s, e))
-            gpre = spre[s:e] if spre is not None else None
-            self.scheduler.add_buffered(block, e - s)
-            spilled = self.pwb.push(block, WalkBatch(group, gpre))
+        sc = self.scheduler
+        # Per block, in ascending block ID: scoreboard, then any spill.
+        for block, count, spilled in self.pwb.push(
+            blocks, WalkBatch(walks, pre_edge)
+        ):
+            sc.add_buffered(block, count)
             if spilled:
-                self.scheduler.add_spilled(block, spilled)
+                sc.add_spilled(block, spilled)
                 self.metrics.spilled_walks.add(spilled)
                 # Overflowed entry flushes through the block's chip.
                 self._spill_write(t, block, spilled)
@@ -1086,7 +1079,7 @@ class FlashWalker:
 
     def _kick_chips(self, t: float) -> None:
         for chip_idx in self.scheduler.chips_with_work():
-            chip = self.chips[int(chip_idx)]
+            chip = self.chips[chip_idx]
             if not chip.busy:
                 self._start_load(chip, t)
 

@@ -16,6 +16,10 @@ highest-scoring subgraphs on that chip; it is refreshed from the dirty
 set only every M walk-insertions per subgraph (Section III-D's
 amortization).  With scheduling disabled (Fig. 9 baseline) the scheduler
 degrades to most-buffered-walks order, GraphWalker's policy.
+
+Per-chip indexes (each chip's owned blocks in ascending order and its
+pending-walk total) keep a refresh and the chips-with-work query from
+scanning every block of the partition.
 """
 
 from __future__ import annotations
@@ -53,9 +57,15 @@ class SubgraphScheduler:
         self.first_block = first_block
         self.last_block = last_block
         self.n_blocks = last_block - first_block + 1
+        # May be a view of the engine's placement array: a chip failover
+        # rewrites it in place, then calls reassign_blocks().
         self.block_chip = np.asarray(
             block_chip[first_block : last_block + 1], dtype=np.int64
         )
+        if self.block_chip.size and not (
+            0 <= self.block_chip.min() and self.block_chip.max() < n_chips
+        ):
+            raise SchedulingError(f"block owners outside [0, {n_chips})")
         self.is_dense = np.asarray(
             is_dense_block[first_block : last_block + 1], dtype=bool
         )
@@ -74,6 +84,10 @@ class SubgraphScheduler:
         # the cached arrays (event-loop hotspot per the obs profiler).
         self._scores_cache: np.ndarray | None = None
         self._counts_cache: np.ndarray | None = None
+        # Scores were read since the last mutation, so the next read is
+        # a cache hit.  A topN refresh reads only its candidates' scores,
+        # so the full array may not be built yet.
+        self._scores_warm = False
         #: Times scores()/walk_counts() served the cached array.
         self.score_cache_hits = 0
         # Per-chip topN caches: local block indices, lazily refreshed.
@@ -81,6 +95,10 @@ class SubgraphScheduler:
         self._dirty: set[int] = set(range(n_chips))
         self.topn_refreshes = 0
         self.topn_updates_deferred = 0
+        # Per-chip indexes over block_chip and the scoreboard.
+        self._chip_blocks: list[np.ndarray] = []
+        self._chip_pending = np.zeros(n_chips, dtype=np.int64)
+        self.reindex_chips()
         #: Optional :class:`~repro.obs.Tracer` (with a bound clock, since
         #: the scheduler itself is timeless); None = no recording.
         self.tracer = None
@@ -96,11 +114,29 @@ class SubgraphScheduler:
             )
         return idx
 
+    def reindex_chips(self) -> None:
+        """Rebuild the per-chip indexes from ``block_chip`` and the
+        scoreboard (after a reassignment or a checkpoint restore)."""
+        order = np.argsort(self.block_chip, kind="stable")
+        edges = np.searchsorted(
+            self.block_chip[order], np.arange(self.n_chips + 1)
+        )
+        self._chip_blocks = [
+            order[edges[c] : edges[c + 1]] for c in range(self.n_chips)
+        ]
+        self._chip_pending = self._pending_by_chip()
+
+    def _pending_by_chip(self) -> np.ndarray:
+        pending = np.zeros(self.n_chips, dtype=np.int64)
+        np.add.at(pending, self.block_chip, self.pwb + self.fl)
+        return pending
+
     # -- scoreboard updates ---------------------------------------------------------
 
     def _touch(self) -> None:
         """Invalidate derived-array caches after a scoreboard mutation."""
         self._scores_cache = None
+        self._scores_warm = False
         self._counts_cache = None
 
     def add_buffered(self, block_id: int, count: int = 1) -> None:
@@ -110,11 +146,13 @@ class SubgraphScheduler:
         idx = self._local(block_id)
         self._touch()
         self.pwb[idx] += count
+        chip = int(self.block_chip[idx])
+        self._chip_pending[chip] += count
         self._inserts_since_update[idx] += count
         # Amortized topN maintenance: only mark dirty every M insertions.
         if self._inserts_since_update[idx] >= self.update_period_m:
             self._inserts_since_update[idx] = 0
-            self._dirty.add(int(self.block_chip[idx]))
+            self._dirty.add(chip)
         else:
             self.topn_updates_deferred += 1
 
@@ -140,7 +178,9 @@ class SubgraphScheduler:
         self.pwb[idx] = 0
         self.fl[idx] = 0
         self._inserts_since_update[idx] = 0
-        self._dirty.add(int(self.block_chip[idx]))
+        chip = int(self.block_chip[idx])
+        self._chip_pending[chip] -= pwb + fl
+        self._dirty.add(chip)
         return pwb, fl
 
     # -- scores ---------------------------------------------------------------------
@@ -151,12 +191,20 @@ class SubgraphScheduler:
         The returned array is cached until the next scoreboard mutation;
         callers must treat it as read-only.
         """
+        self._read_scores()
         if self._scores_cache is None:
-            base = self.pwb * self.alpha + self.fl
-            self._scores_cache = np.where(self.is_dense, base, base * self.beta)
-        else:
-            self.score_cache_hits += 1
+            self._scores_cache = self._eq1(slice(None))
         return self._scores_cache
+
+    def _read_scores(self) -> None:
+        if self._scores_warm:
+            self.score_cache_hits += 1
+        else:
+            self._scores_warm = True
+
+    def _eq1(self, idx) -> np.ndarray:
+        base = self.pwb[idx] * self.alpha + self.fl[idx]
+        return np.where(self.is_dense[idx], base, base * self.beta)
 
     def walk_counts(self) -> np.ndarray:
         """Pending walks per block (cached; treat as read-only)."""
@@ -173,18 +221,28 @@ class SubgraphScheduler:
     # -- selection ----------------------------------------------------------------------
 
     def _refresh_top(self, chip: int) -> None:
-        mask = self.block_chip == chip
         counts = self.walk_counts()
-        candidates = np.flatnonzero(mask & (counts > 0))
+        if self._chip_pending[chip]:
+            blocks = self._chip_blocks[chip]
+            candidates = blocks[counts[blocks] > 0]
+        else:
+            candidates = self._chip_blocks[chip][:0]
         if candidates.size == 0:
             self._top[chip] = []
         else:
-            key = self.scores() if self.use_scores else counts
+            if self.use_scores:
+                # One scores() read: the cached array if built, else
+                # Eq. 1 for just the candidates (the same values).
+                self._read_scores()
+                cache = self._scores_cache
+                key = cache[candidates] if cache is not None else self._eq1(candidates)
+            else:
+                key = counts[candidates]
             # Stable sort on the negated key: descending by score, ties
             # broken by *lowest* local block ID.  (A reversed ascending
             # stable sort would break ties by highest index, making topN
             # order depend on candidate layout rather than block ID.)
-            order = np.argsort(-key[candidates], kind="stable")
+            order = np.argsort(-key, kind="stable")
             self._top[chip] = candidates[order][: self.top_n].tolist()
         self.topn_refreshes += 1
         self._dirty.discard(chip)
@@ -234,6 +292,8 @@ class SubgraphScheduler:
             idx = self._local(int(bid))
             old = int(self.block_chip[idx])
             if old == chip:
+                # Also the case for every block when block_chip is a
+                # view the caller already rewrote.
                 continue
             self.block_chip[idx] = chip
             self._dirty.add(old)
@@ -244,11 +304,14 @@ class SubgraphScheduler:
                     "sched", _PID_BOARD, int(chip), "block_reassigned",
                     args={"block": int(bid), "from_chip": old},
                 )
+        self.reindex_chips()
 
-    def chips_with_work(self) -> np.ndarray:
-        """Chip indices that currently own blocks with pending walks."""
-        counts = self.walk_counts()
-        return np.unique(self.block_chip[counts > 0])
+    def chips_with_work(self) -> list[int]:
+        """Chip indices (ascending) that own blocks with pending walks."""
+        # walk_counts() is read for its score_cache_hits accounting (a
+        # report counter): one cached read per call.
+        self.walk_counts()
+        return np.flatnonzero(self._chip_pending).tolist()
 
     def consistency_errors(self, pwb_buffer) -> list[str]:
         """Scoreboard-vs-buffer divergences, one message per bad block.
@@ -272,6 +335,20 @@ class SubgraphScheduler:
                 errors.append(
                     f"block {block}: scheduler ({sb},{sf}) vs buffer ({bb},{bf})"
                 )
+        # The per-chip lists, concatenated in chip order, must be the
+        # stable sort of block_chip, split at its per-chip counts.
+        sizes = np.bincount(self.block_chip, minlength=self.n_chips)
+        owned = np.concatenate(self._chip_blocks)
+        if [blocks.size for blocks in self._chip_blocks] != sizes.tolist() or (
+            not np.array_equal(owned, np.argsort(self.block_chip, kind="stable"))
+        ):
+            errors.append("scheduler per-chip block lists diverge from block_chip")
+        expect = self._pending_by_chip()
+        for chip in np.flatnonzero(expect != self._chip_pending).tolist():
+            errors.append(
+                f"chip {chip}: scheduler pending {int(self._chip_pending[chip])} "
+                f"vs per-block sum {int(expect[chip])}"
+            )
         return errors
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

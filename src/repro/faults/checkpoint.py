@@ -107,20 +107,6 @@ def _unpack_walks(data: tuple) -> WalkSet:
     return WalkSet(src.copy(), cur.copy(), hop.copy())
 
 
-def _pack_batch(batch) -> tuple:
-    pre = None if batch.pre_edge is None else batch.pre_edge.copy()
-    return (_pack_walks(batch.walks), pre)
-
-
-def _unpack_batch(data):
-    from ..core.buffers import WalkBatch
-
-    walks_data, pre = data
-    return WalkBatch(
-        _unpack_walks(walks_data), None if pre is None else pre.copy()
-    )
-
-
 def _link_state(link) -> tuple:
     return (link._busy_until, link.bytes_moved, link.busy_time, link.transfers)
 
@@ -383,16 +369,12 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
             "score_hits": sc.score_cache_hits,
             # Cache warmth matters for replay parity: a restored-cold
             # cache would miss where the original timeline hit.
-            "scores_warm": sc._scores_cache is not None,
+            "scores_warm": sc._scores_warm,
             "counts_warm": sc._counts_cache is not None,
         }
     if fw.pwb is not None:
         data["pwb_entries"] = {
-            int(block): (
-                [_pack_batch(b) for b in e.buffered],
-                [_pack_batch(b) for b in e.spilled],
-            )
-            for block, e in fw.pwb._entries.items()
+            int(block): e.state() for block, e in fw.pwb._entries.items()
         }
         data["pwb_spills"] = (fw.pwb.spill_events, fw.pwb.walks_spilled)
     return Checkpoint(time=t, data=data)
@@ -519,6 +501,8 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
             sc.scores()
         if sd.get("counts_warm"):
             sc.walk_counts()
+        # block_chip and the scoreboard were overwritten above.
+        sc.reindex_chips()
     if d["pwb_entries"] is not None:
         fw.pwb = PartitionWalkBuffer(
             first,
@@ -527,17 +511,8 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
             fw.dense_entry_capacity,
             fw.part.is_dense_block,
         )
-        for block, (buffered, spilled) in d["pwb_entries"].items():
-            e = BlockEntry()
-            for b in buffered:
-                batch = _unpack_batch(b)
-                e.buffered.append(batch)
-                e.buffered_count += len(batch)
-            for b in spilled:
-                batch = _unpack_batch(b)
-                e.spilled.append(batch)
-                e.spilled_count += len(batch)
-            fw.pwb._entries[int(block)] = e
+        for block, state in d["pwb_entries"].items():
+            fw.pwb._entries[int(block)] = BlockEntry.from_state(state)
         fw.pwb.spill_events, fw.pwb.walks_spilled = d["pwb_spills"]
     # foreigner pools
     for pid_i, pool in d["foreign"].items():

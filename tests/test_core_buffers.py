@@ -12,6 +12,13 @@ def walks(n, start=0):
     return WalkSet.start(np.arange(start, start + n), 6)
 
 
+def push(pwb, block, batch):
+    """Push a whole batch into one entry; returns the walks it spilled."""
+    ((b, n, spilled),) = pwb.push(np.full(len(batch), block), batch)
+    assert (b, n) == (block, len(batch))
+    return spilled
+
+
 class TestWalkBatch:
     def test_plain(self):
         b = WalkBatch(walks(3))
@@ -75,6 +82,35 @@ class TestBlockEntry:
         assert (nb, ns) == (4, 4)
         assert len(batch) == 8
 
+    def test_drain_is_push_order_rotated_by_spills(self):
+        e = BlockEntry()
+        e.push(WalkBatch(walks(2)))                     # src 0, 1
+        e.push(WalkBatch(walks(1, 10), np.array([7])))  # src 10
+        e.push(WalkBatch(walks(2, 20)))                 # src 20, 21
+        assert e.spill_overflow(3) == 2                 # oldest batch out
+        batch, nb, ns = e.drain()
+        assert (nb, ns) == (3, 2)
+        np.testing.assert_array_equal(batch.walks.src, [10, 20, 21, 0, 1])
+        np.testing.assert_array_equal(batch.pre_edge, [7, -1, -1, -1, -1])
+
+    def test_drain_without_pre_edges_has_none(self):
+        e = BlockEntry()
+        e.push(WalkBatch(walks(2)))
+        assert e.drain()[0].pre_edge is None
+        assert BlockEntry().drain()[0].pre_edge is None
+
+    def test_state_round_trip(self):
+        e = BlockEntry()
+        e.push(WalkBatch(walks(3), np.array([1, 2, 3])))
+        e.push(WalkBatch(walks(2, 10)))
+        e.spill_overflow(2)
+        r = BlockEntry.from_state(e.state())
+        assert (r.buffered_count, r.spilled_count) == (2, 3)
+        assert list(r.batch_lens) == [2]
+        a, b = e.drain()[0], r.drain()[0]
+        np.testing.assert_array_equal(a.walks.src, b.walks.src)
+        np.testing.assert_array_equal(a.pre_edge, b.pre_edge)
+
     def test_negative_capacity(self):
         with pytest.raises(BufferOverflowError):
             BlockEntry().spill_overflow(-1)
@@ -88,13 +124,13 @@ class TestPartitionWalkBuffer:
 
     def test_push_within_capacity(self):
         pwb = self.make()
-        assert pwb.push(0, WalkBatch(walks(5))) == 0
+        assert push(pwb, 0, WalkBatch(walks(5))) == 0
         assert pwb.counts(0) == (5, 0)
 
     def test_push_overflow_spills(self):
         pwb = self.make(cap=8)
-        pwb.push(1, WalkBatch(walks(6)))
-        spilled = pwb.push(1, WalkBatch(walks(6, 10)))
+        push(pwb, 1, WalkBatch(walks(6)))
+        spilled = push(pwb, 1, WalkBatch(walks(6, 10)))
         assert spilled == 6  # oldest batch out
         assert pwb.spill_events == 1
         assert pwb.walks_spilled == 6
@@ -103,11 +139,11 @@ class TestPartitionWalkBuffer:
         pwb = self.make(cap=8, dense_cap=12)
         assert pwb.capacity_of(3) == 12
         assert pwb.capacity_of(0) == 8
-        assert pwb.push(3, WalkBatch(walks(11))) == 0
+        assert push(pwb, 3, WalkBatch(walks(11))) == 0
 
     def test_drain_removes_entry(self):
         pwb = self.make()
-        pwb.push(2, WalkBatch(walks(4)))
+        push(pwb, 2, WalkBatch(walks(4)))
         batch, nb, ns = pwb.drain(2)
         assert (nb, ns) == (4, 0)
         assert pwb.counts(2) == (0, 0)
@@ -120,14 +156,38 @@ class TestPartitionWalkBuffer:
 
     def test_blocks_with_walks(self):
         pwb = self.make()
-        pwb.push(0, WalkBatch(walks(1)))
-        pwb.push(5, WalkBatch(walks(1)))
+        push(pwb, 0, WalkBatch(walks(1)))
+        push(pwb, 5, WalkBatch(walks(1)))
         assert sorted(pwb.blocks_with_walks()) == [0, 5]
 
     def test_out_of_partition_rejected(self):
         pwb = self.make(n_blocks=4)
         with pytest.raises(BufferOverflowError):
-            pwb.push(10, WalkBatch(walks(1)))
+            push(pwb, 10, WalkBatch(walks(1)))
+
+    def test_push_groups_by_ascending_block(self):
+        pwb = self.make(cap=8)
+        blocks = np.array([5, 0, 5, 2, 0, 5])
+        out = pwb.push(blocks, WalkBatch(walks(6), np.arange(6) + 100))
+        assert out == [(0, 2, 0), (2, 1, 0), (5, 3, 0)]
+        batch, nb, ns = pwb.drain(5)
+        # Arrival order within the block, pre-walked edges alongside.
+        np.testing.assert_array_equal(batch.walks.src, [0, 2, 5])
+        np.testing.assert_array_equal(batch.pre_edge, [100, 102, 105])
+        assert (nb, ns) == (3, 0)
+
+    def test_push_reports_spills_per_block(self):
+        pwb = self.make(cap=2)
+        push(pwb, 1, WalkBatch(walks(2)))
+        out = pwb.push(np.array([4, 1, 1]), WalkBatch(walks(3, 10)))
+        assert out == [(1, 2, 2), (4, 1, 0)]
+        assert pwb.counts(1) == (2, 2)
+        assert (pwb.spill_events, pwb.walks_spilled) == (1, 2)
+
+    def test_push_length_mismatch_rejected(self):
+        pwb = self.make()
+        with pytest.raises(BufferOverflowError):
+            pwb.push(np.array([0, 1]), WalkBatch(walks(3)))
 
     def test_validation(self):
         with pytest.raises(BufferOverflowError):

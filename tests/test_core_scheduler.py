@@ -125,6 +125,32 @@ class TestSelection:
         s.add_buffered(5, 1)  # chip 1
         np.testing.assert_array_equal(s.chips_with_work(), [0, 1])
 
+    def test_chips_with_work_follows_reassignment_through_a_view(self):
+        # The engine shares its placement array with the scheduler and
+        # rewrites it before calling reassign_blocks().
+        placement = np.arange(8) % 4
+        s = SubgraphScheduler(
+            block_chip=placement, is_dense_block=np.zeros(8, dtype=bool),
+            first_block=0, last_block=7, n_chips=4, alpha=1.2, beta=1.5,
+            top_n=4, update_period_m=4,
+        )
+        s.add_buffered(1, 3)  # chip 1
+        s.add_buffered(5, 2)  # chip 1
+        placement[[1, 5]] = [2, 3]
+        s.reassign_blocks([1, 5], [2, 3])
+        np.testing.assert_array_equal(s.chips_with_work(), [2, 3])
+        assert s.next_subgraph(1) is None
+        assert s.next_subgraph(2) == 1
+        assert s.next_subgraph(3) == 5
+
+    def test_block_owner_out_of_range_rejected(self):
+        with pytest.raises(SchedulingError):
+            SubgraphScheduler(
+                block_chip=np.array([0, 2]), is_dense_block=np.zeros(2, dtype=bool),
+                first_block=0, last_block=1, n_chips=2, alpha=1.2, beta=1.5,
+                top_n=4, update_period_m=4,
+            )
+
     def test_bad_chip_rejected(self):
         s = make_scheduler()
         with pytest.raises(SchedulingError):

@@ -385,6 +385,37 @@ class TestCheckpointResume:
         np.testing.assert_array_equal(full.finals.cur, resumed.finals.cur)
         np.testing.assert_array_equal(full.finals.hop, resumed.finals.hop)
 
+    def test_resume_with_spills_after_chip_failure(self, graph):
+        """Resume from a checkpoint holding spilled entry walks, taken
+        after a chip failure remapped blocks: the restored buffer entries
+        and the scheduler's per-chip indexes must replay exactly."""
+        victim = int(FlashWalker(graph, seed=9).block_chip[0])
+        cfg = FlashWalkerConfig().replace(
+            **self.ENGINE,
+            pwb_entry_walks=4,
+            faults=FaultConfig(
+                enabled=True, **self.CFG, chip_failures=((50e-6, victim),)
+            ),
+        )
+        fw = FlashWalker(graph, cfg, seed=9)
+        full = fw.run(num_walks=800, spec=WalkSpec(length=5))
+        assert full.counters["spilled_walks"] > 0
+        crashed = self.crash(graph, cfg, int(fw.sim.events_executed * 0.3))
+        ckpt = crashed.latest_checkpoint
+        assert ckpt.data["faults"]["chip_failures"] == 1
+        entries = ckpt.data["pwb_entries"].values()
+        assert sum(state[5] for state in entries) > 0  # spilled walks
+        # Right after a restore, the scheduler's per-chip indexes agree
+        # with the restored scoreboard and buffer.
+        from repro.faults.checkpoint import restore_checkpoint
+
+        probe = FlashWalker(graph, cfg, seed=9)
+        restore_checkpoint(probe, ckpt)
+        assert probe.pwb.total_walks > 0
+        assert probe.scheduler.consistency_errors(probe.pwb) == []
+        resumed = crashed.resume()
+        assert result_key(resumed) == result_key(full)
+
     def test_resume_without_checkpoint_raises(self, graph):
         fw = FlashWalker(graph, seed=9)
         with pytest.raises(SimulationError):
@@ -395,6 +426,68 @@ class TestCheckpointResume:
             num_walks=300, spec=WalkSpec(length=4)
         )
         assert res.counters["checkpoints_taken"] == 0
+
+
+class TestSpillPathGolden:
+    """Spill-heavy degraded runs must replay their recorded reports.
+
+    None of the benchmark workloads ever spills, so these runs pin the
+    partition walk buffer's spill accounting and drain order, and the
+    scheduler's per-chip state across a chip failure: tiny entries
+    (4 walks) make most inserts overflow, and one chip dies mid-run.
+    """
+
+    CASES = {
+        # Default SSD (128 chips): chip 3's blocks move to 127 survivors.
+        "wide": (
+            None, 0.073, 3,
+            "3234081fcd548f7603950a2f5b73947d0882e861915200d8f8708f37fd41ec07",
+        ),
+        # Two chips: entries also collect several batches before a load,
+        # so some drains hold buffered and spilled walks at once.
+        "two_chips": (
+            SSDConfig(channels=1, chips_per_channel=2), 0.09, 1,
+            "b12fef71529b8ed30f659a60fd45ff1a2a07b4158d2b00ca92c0f901516b4a1d",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_matches_golden(self, case, monkeypatch):
+        import hashlib
+        import json
+
+        from repro.core.buffers import BlockEntry
+        from repro.graph import build_graph
+
+        ssd, t_fail, victim, sha = self.CASES[case]
+        mixed_drains = []
+        drain = BlockEntry.drain
+
+        def spy(entry):
+            mixed_drains.append(entry.buffered_count > 0 and entry.spilled_count > 0)
+            return drain(entry)
+
+        monkeypatch.setattr(BlockEntry, "drain", spy)
+        graph = build_graph("TT", RngRegistry(0))
+        cfg = FlashWalkerConfig().replace(
+            partition_subgraphs=4,
+            board_hot_subgraphs=1,
+            channel_hot_subgraphs=0,
+            pwb_entry_walks=4,
+            faults=FaultConfig(enabled=True, chip_failures=((t_fail, victim),)),
+        )
+        if ssd is not None:
+            cfg = cfg.replace(ssd=ssd)
+        res = FlashWalker(graph, cfg, seed=5).run(
+            num_walks=3000, spec=WalkSpec(length=6)
+        )
+        assert res.counters["spilled_walks"] > 0
+        assert res.counters["chips_failed"] == 1
+        assert res.counters["degraded_loads"] > 0
+        if case == "two_chips":
+            assert any(mixed_drains)
+        blob = json.dumps(res.to_report(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == sha
 
 
 class TestCheckpointFingerprint:

@@ -438,6 +438,27 @@ class TestAuditor:
             svc.auditor.audit(final=True)
         assert any("scheduler" in v for v in exc_info.value.violations)
 
+    def test_audit_flags_chip_pending_divergence(self, graph):
+        svc = make_service(graph, engine=ENGINE)
+        fw = svc.fw
+        fw.start_session(expected_walks=64)
+        # Per-block scoreboard and buffer still agree; only the
+        # scheduler's per-chip pending count is off.
+        fw.scheduler._chip_pending[0] += 3
+        with pytest.raises(InvariantViolation) as exc_info:
+            svc.auditor.audit(final=True)
+        assert any("chip 0: scheduler pending" in v for v in exc_info.value.violations)
+
+    def test_audit_flags_chip_block_index_divergence(self, graph):
+        svc = make_service(graph, engine=ENGINE)
+        fw = svc.fw
+        fw.start_session(expected_walks=64)
+        sc = fw.scheduler
+        sc._chip_blocks[0] = sc._chip_blocks[0][1:]
+        with pytest.raises(InvariantViolation) as exc_info:
+            svc.auditor.audit(final=True)
+        assert any("per-chip block lists" in v for v in exc_info.value.violations)
+
     def test_audit_disabled_still_runs_final_audit(self, graph):
         svc = make_service(graph, engine=ENGINE, audit_interval_events=0)
         out = svc.run(burst_requests(3, gap=30e-6))
