@@ -78,33 +78,20 @@ class BlockEntry:
         "buffered_count", "spilled_count",
     )
 
-    def __init__(self, src: list | None = None, cur: list | None = None,
-                 hop: list | None = None, pre_edge: list | None = None):
-        """An empty entry, or one holding a single buffered batch given
-        as aligned per-field lists (kept, not copied)."""
-        if src is None:
-            src, cur, hop = [], [], []
-        self.src: list[int] = src
-        self.cur: list[int] = cur
-        self.hop: list[int] = hop
+    def __init__(self):
+        self.src: list[int] = []
+        self.cur: list[int] = []
+        self.hop: list[int] = []
         #: Pre-walked edge per walk, -1 where none; None until a batch
         #: with pre-walked edges arrives.
-        self.pre_edge: list[int] | None = pre_edge
-        n = len(src)
-        self.batch_lens: deque[int] = deque((n,) if n else ())
-        self.buffered_count = n
+        self.pre_edge: list[int] | None = None
+        self.batch_lens: deque[int] = deque()
+        self.buffered_count = 0
         self.spilled_count = 0
 
     @property
     def total(self) -> int:
         return self.buffered_count + self.spilled_count
-
-    def push(self, batch: WalkBatch) -> None:
-        w, pre = batch.walks, batch.pre_edge
-        self.extend(
-            w.src.tolist(), w.cur.tolist(), w.hop.tolist(),
-            None if pre is None else pre.tolist(),
-        )
 
     def extend(self, src: list, cur: list, hop: list, pre_edge: list | None) -> None:
         """Append one batch given as aligned per-field lists."""
@@ -183,7 +170,8 @@ class BlockEntry:
     def from_state(cls, state: tuple) -> "BlockEntry":
         """Inverse of :meth:`state`."""
         src, cur, hop, pre, lens, ns = state
-        e = cls(
+        e = cls()
+        e.extend(
             src.tolist(), cur.tolist(), hop.tolist(),
             None if pre is None else pre.tolist(),
         )
@@ -281,9 +269,8 @@ class PartitionWalkBuffer:
             src, cur, hop, pe = groups[b]
             e = entries.get(b)
             if e is None:
-                e = entries[b] = BlockEntry(src, cur, hop, pe)
-            else:
-                e.extend(src, cur, hop, pe)
+                e = entries[b] = BlockEntry()
+            e.extend(src, cur, hop, pe)
             cap = caps[b - first]
             spilled = e.spill_overflow(cap) if e.buffered_count > cap else 0
             if spilled:

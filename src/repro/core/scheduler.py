@@ -222,20 +222,16 @@ class SubgraphScheduler:
 
     def _refresh_top(self, chip: int) -> None:
         counts = self.walk_counts()
-        if self._chip_pending[chip]:
-            blocks = self._chip_blocks[chip]
-            candidates = blocks[counts[blocks] > 0]
-        else:
-            candidates = self._chip_blocks[chip][:0]
+        blocks = self._chip_blocks[chip]
+        candidates = blocks[counts[blocks] > 0]
         if candidates.size == 0:
             self._top[chip] = []
         else:
             if self.use_scores:
-                # One scores() read: the cached array if built, else
-                # Eq. 1 for just the candidates (the same values).
+                # Counts as one scores() read; Eq. 1 over just the
+                # candidates gives the same values.
                 self._read_scores()
-                cache = self._scores_cache
-                key = cache[candidates] if cache is not None else self._eq1(candidates)
+                key = self._eq1(candidates)
             else:
                 key = counts[candidates]
             # Stable sort on the negated key: descending by score, ties

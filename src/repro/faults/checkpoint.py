@@ -493,12 +493,11 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         sc.topn_refreshes = sd["refreshes"]
         sc.topn_updates_deferred = sd["deferred"]
         sc.score_cache_hits = sd.get("score_hits", 0)
-        # Re-warm the derived-array caches the snapshot saw as warm
-        # (recomputed from the restored scoreboard, not stored): the
+        # Re-warm what the snapshot saw as warm (the counts array is
+        # recomputed from the restored scoreboard, not stored): the
         # first post-restore scores()/walk_counts() call then hits or
         # misses exactly as the original timeline did.
-        if sd.get("scores_warm"):
-            sc.scores()
+        sc._scores_warm = bool(sd.get("scores_warm"))
         if sd.get("counts_warm"):
             sc.walk_counts()
         # block_chip and the scoreboard were overwritten above.

@@ -12,6 +12,15 @@ def walks(n, start=0):
     return WalkSet.start(np.arange(start, start + n), 6)
 
 
+def push_entry(entry, batch):
+    """Append a WalkBatch to a BlockEntry as one batch."""
+    w, pre = batch.walks, batch.pre_edge
+    entry.extend(
+        w.src.tolist(), w.cur.tolist(), w.hop.tolist(),
+        None if pre is None else pre.tolist(),
+    )
+
+
 def push(pwb, block, batch):
     """Push a whole batch into one entry; returns the walks it spilled."""
     ((b, n, spilled),) = pwb.push(np.full(len(batch), block), batch)
@@ -52,8 +61,8 @@ class TestWalkBatch:
 class TestBlockEntry:
     def test_push_and_drain(self):
         e = BlockEntry()
-        e.push(WalkBatch(walks(4)))
-        e.push(WalkBatch(walks(2, 10)))
+        push_entry(e, WalkBatch(walks(4)))
+        push_entry(e, WalkBatch(walks(2, 10)))
         batch, nb, ns = e.drain()
         assert (nb, ns) == (6, 0)
         assert len(batch) == 6
@@ -61,8 +70,8 @@ class TestBlockEntry:
 
     def test_spill_overflow_fifo(self):
         e = BlockEntry()
-        e.push(WalkBatch(walks(4)))          # oldest
-        e.push(WalkBatch(walks(4, 10)))
+        push_entry(e, WalkBatch(walks(4)))          # oldest
+        push_entry(e, WalkBatch(walks(4, 10)))
         spilled = e.spill_overflow(capacity=5)
         assert spilled == 4  # whole oldest batch moves out
         assert e.buffered_count == 4
@@ -70,13 +79,13 @@ class TestBlockEntry:
 
     def test_spill_nothing_under_capacity(self):
         e = BlockEntry()
-        e.push(WalkBatch(walks(3)))
+        push_entry(e, WalkBatch(walks(3)))
         assert e.spill_overflow(10) == 0
 
     def test_drain_merges_both_sides(self):
         e = BlockEntry()
-        e.push(WalkBatch(walks(4)))
-        e.push(WalkBatch(walks(4, 10)))
+        push_entry(e, WalkBatch(walks(4)))
+        push_entry(e, WalkBatch(walks(4, 10)))
         e.spill_overflow(4)
         batch, nb, ns = e.drain()
         assert (nb, ns) == (4, 4)
@@ -84,9 +93,9 @@ class TestBlockEntry:
 
     def test_drain_is_push_order_rotated_by_spills(self):
         e = BlockEntry()
-        e.push(WalkBatch(walks(2)))                     # src 0, 1
-        e.push(WalkBatch(walks(1, 10), np.array([7])))  # src 10
-        e.push(WalkBatch(walks(2, 20)))                 # src 20, 21
+        push_entry(e, WalkBatch(walks(2)))                     # src 0, 1
+        push_entry(e, WalkBatch(walks(1, 10), np.array([7])))  # src 10
+        push_entry(e, WalkBatch(walks(2, 20)))                 # src 20, 21
         assert e.spill_overflow(3) == 2                 # oldest batch out
         batch, nb, ns = e.drain()
         assert (nb, ns) == (3, 2)
@@ -95,14 +104,14 @@ class TestBlockEntry:
 
     def test_drain_without_pre_edges_has_none(self):
         e = BlockEntry()
-        e.push(WalkBatch(walks(2)))
+        push_entry(e, WalkBatch(walks(2)))
         assert e.drain()[0].pre_edge is None
         assert BlockEntry().drain()[0].pre_edge is None
 
     def test_state_round_trip(self):
         e = BlockEntry()
-        e.push(WalkBatch(walks(3), np.array([1, 2, 3])))
-        e.push(WalkBatch(walks(2, 10)))
+        push_entry(e, WalkBatch(walks(3), np.array([1, 2, 3])))
+        push_entry(e, WalkBatch(walks(2, 10)))
         e.spill_overflow(2)
         r = BlockEntry.from_state(e.state())
         assert (r.buffered_count, r.spilled_count) == (2, 3)

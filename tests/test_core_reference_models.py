@@ -18,6 +18,8 @@ from repro.core import PartitionWalkBuffer, SubgraphScheduler, WalkBatch
 from repro.core.buffers import BlockEntry
 from repro.walks import WalkSet
 
+from .test_core_buffers import push_entry
+
 # ---------------------------------------------------------------- buffers
 
 
@@ -179,7 +181,7 @@ class TestBufferMatchesReference:
             else:
                 n = data.draw(st.integers(1, 6))
                 batch = draw_batch(data, n, data.draw(st.booleans()))
-                e.push(batch)
+                push_entry(e, batch)
                 ref.push(batch)
             assert (e.buffered_count, e.spilled_count) == (
                 ref.buffered_count, ref.spilled_count

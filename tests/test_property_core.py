@@ -13,6 +13,8 @@ from repro.core.buffers import BlockEntry, WalkBatch
 from repro.sim import BandwidthLink, FcfsResource, Simulator
 from repro.walks import WalkSet
 
+from .test_core_buffers import push_entry
+
 
 class TestBloomProperties:
     @given(
@@ -128,7 +130,7 @@ class TestBufferProperties:
         e = BlockEntry()
         total = 0
         for size in batch_sizes:
-            e.push(WalkBatch(WalkSet.start(np.arange(size), 6)))
+            push_entry(e, WalkBatch(WalkSet.start(np.arange(size), 6)))
             e.spill_overflow(capacity)
             total += size
         assert e.total == total
