@@ -11,7 +11,10 @@ draw over all out-edges (tests verify this).
 
 The table itself is a Bloom filter (membership) plus a hash map (the
 metadata); the guider consults it *before* the subgraph mapping table,
-and a false positive only costs a wasted hash probe.
+and a false positive only costs a wasted hash probe.  The filter's
+answer for a vertex never changes, so the table asks it once per vertex
+at construction and :meth:`DenseVertexTable.classify` gathers the
+answers; the counters are those of querying the filter per walk.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from ..graph.partition import DenseVertexMeta, GraphPartitioning
 from .bloom import BloomFilter
 
 __all__ = ["DenseVertexTable", "PreWalkResult"]
+
+#: Vertices per Bloom query while building the per-vertex answers
+#: (bounds the (chunk, n_hashes) position matrix).
+_CHUNK = 1 << 15
 
 
 class PreWalkResult:
@@ -63,6 +70,14 @@ class DenseVertexTable:
             self._first = np.zeros(0, dtype=np.int64)
             self._degree = np.zeros(0, dtype=np.int64)
             self._per_block = np.zeros(0, dtype=np.int64)
+        # Per-vertex Bloom answer and hash-table answer.
+        n_vertices = partitioning.graph.num_vertices
+        self._maybe = np.zeros(n_vertices, dtype=bool)
+        for lo in range(0, n_vertices, _CHUNK):
+            hi = min(lo + _CHUNK, n_vertices)
+            self._maybe[lo:hi] = self.bloom.contains(np.arange(lo, hi))
+        self._is_dense = np.zeros(n_vertices, dtype=bool)
+        self._is_dense[self._verts] = True
         self.bloom_queries = 0
         self.bloom_positives = 0
         self.false_positives = 0
@@ -81,22 +96,16 @@ class DenseVertexTable:
         v = np.asarray(v, dtype=np.int64)
         if v.size == 0:
             return np.zeros(0, dtype=bool)
+        if v.min() < 0 or v.max() >= self._maybe.size:
+            raise ReproError(f"classify: vertex outside [0, {self._maybe.size})")
+        maybe = self._maybe[v]
+        confirmed = self._is_dense[v]
+        positives = int(np.count_nonzero(maybe))
         self.bloom_queries += v.size
-        maybe = np.atleast_1d(self.bloom.contains(v))
-        self.bloom_positives += int(maybe.sum())
-        confirmed = np.zeros(v.shape, dtype=bool)
-        if maybe.any():
-            cand = v[maybe]
-            self.hash_probes += cand.size
-            if self._verts.size:
-                pos = np.searchsorted(self._verts, cand)
-                pos_ok = pos < self._verts.size
-                real = np.zeros(cand.shape, dtype=bool)
-                real[pos_ok] = self._verts[pos[pos_ok]] == cand[pos_ok]
-            else:
-                real = np.zeros(cand.shape, dtype=bool)
-            self.false_positives += int((~real).sum())
-            confirmed[np.flatnonzero(maybe)[real]] = True
+        self.bloom_positives += positives
+        self.hash_probes += positives
+        # Every dense vertex is in the filter, so it is a positive too.
+        self.false_positives += positives - int(np.count_nonzero(confirmed))
         return confirmed
 
     def pre_walk(self, v: np.ndarray, rng: np.random.Generator) -> PreWalkResult:

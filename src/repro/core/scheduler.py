@@ -19,10 +19,15 @@ degrades to most-buffered-walks order, GraphWalker's policy.
 
 Per-chip indexes (each chip's owned blocks in ascending order and its
 pending-walk total) keep a refresh and the chips-with-work query from
-scanning every block of the partition.
+scanning every block of the partition.  A refresh ranks a handful of
+blocks, so the scoreboard and the indexes are plain Python lists; only
+the public :meth:`SubgraphScheduler.scores` and
+:meth:`SubgraphScheduler.walk_counts` build arrays.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 import numpy as np
 
@@ -68,7 +73,7 @@ class SubgraphScheduler:
             raise SchedulingError(f"block owners outside [0, {n_chips})")
         self.is_dense = np.asarray(
             is_dense_block[first_block : last_block + 1], dtype=bool
-        )
+        ).tolist()
         self.n_chips = n_chips
         self.alpha = alpha
         self.beta = beta
@@ -76,19 +81,19 @@ class SubgraphScheduler:
         self.update_period_m = update_period_m
         self.use_scores = use_scores
         # Per-block state (local indices 0..n_blocks-1).
-        self.pwb = np.zeros(self.n_blocks, dtype=np.int64)
-        self.fl = np.zeros(self.n_blocks, dtype=np.int64)
-        self._inserts_since_update = np.zeros(self.n_blocks, dtype=np.int64)
-        # scores()/walk_counts() are recomputed only after a scoreboard
-        # mutation; next_subgraph() and _refresh_top() otherwise share
-        # the cached arrays (event-loop hotspot per the obs profiler).
+        self.pwb = [0] * self.n_blocks
+        self.fl = [0] * self.n_blocks
+        self._inserts_since_update = [0] * self.n_blocks
+        # scores()/walk_counts() build their arrays only after a
+        # scoreboard mutation.  A warm flag means that kind of read
+        # happened since the last mutation, so the next one is a cache
+        # hit; internal reads go through the flags without building the
+        # arrays.
         self._scores_cache: np.ndarray | None = None
         self._counts_cache: np.ndarray | None = None
-        # Scores were read since the last mutation, so the next read is
-        # a cache hit.  A topN refresh reads only its candidates' scores,
-        # so the full array may not be built yet.
         self._scores_warm = False
-        #: Times scores()/walk_counts() served the cached array.
+        self._counts_warm = False
+        #: Times a scores()/walk_counts() read hit the cache.
         self.score_cache_hits = 0
         # Per-chip topN caches: local block indices, lazily refreshed.
         self._top: dict[int, list[int]] = {c: [] for c in range(n_chips)}
@@ -96,8 +101,9 @@ class SubgraphScheduler:
         self.topn_refreshes = 0
         self.topn_updates_deferred = 0
         # Per-chip indexes over block_chip and the scoreboard.
-        self._chip_blocks: list[np.ndarray] = []
-        self._chip_pending = np.zeros(n_chips, dtype=np.int64)
+        self._block_chip: list[int] = []
+        self._chip_blocks: list[list[int]] = []
+        self._chip_pending: list[int] = []
         self.reindex_chips()
         #: Optional :class:`~repro.obs.Tracer` (with a bound clock, since
         #: the scheduler itself is timeless); None = no recording.
@@ -117,27 +123,28 @@ class SubgraphScheduler:
     def reindex_chips(self) -> None:
         """Rebuild the per-chip indexes from ``block_chip`` and the
         scoreboard (after a reassignment or a checkpoint restore)."""
-        order = np.argsort(self.block_chip, kind="stable")
-        edges = np.searchsorted(
-            self.block_chip[order], np.arange(self.n_chips + 1)
-        )
-        self._chip_blocks = [
-            order[edges[c] : edges[c + 1]] for c in range(self.n_chips)
-        ]
-        self._chip_pending = self._pending_by_chip()
+        self._block_chip = self.block_chip.tolist()
+        self._chip_blocks = self._blocks_by_chip(self._block_chip)
+        self._chip_pending = self._pending_by_chip(self._block_chip)
 
-    def _pending_by_chip(self) -> np.ndarray:
-        pending = np.zeros(self.n_chips, dtype=np.int64)
-        np.add.at(pending, self.block_chip, self.pwb + self.fl)
+    def _blocks_by_chip(self, block_chip: list[int]) -> list[list[int]]:
+        blocks: list[list[int]] = [[] for _ in range(self.n_chips)]
+        for idx, chip in enumerate(block_chip):
+            blocks[chip].append(idx)
+        return blocks
+
+    def _pending_by_chip(self, block_chip: list[int]) -> list[int]:
+        pending = [0] * self.n_chips
+        for chip, pwb, fl in zip(block_chip, self.pwb, self.fl):
+            pending[chip] += pwb + fl
         return pending
 
     # -- scoreboard updates ---------------------------------------------------------
 
     def _touch(self) -> None:
         """Invalidate derived-array caches after a scoreboard mutation."""
-        self._scores_cache = None
-        self._scores_warm = False
-        self._counts_cache = None
+        self._scores_cache = self._counts_cache = None
+        self._scores_warm = self._counts_warm = False
 
     def add_buffered(self, block_id: int, count: int = 1) -> None:
         """Walks inserted into the partition walk buffer for ``block_id``."""
@@ -146,14 +153,15 @@ class SubgraphScheduler:
         idx = self._local(block_id)
         self._touch()
         self.pwb[idx] += count
-        chip = int(self.block_chip[idx])
+        chip = self._block_chip[idx]
         self._chip_pending[chip] += count
-        self._inserts_since_update[idx] += count
+        inserts = self._inserts_since_update[idx] + count
         # Amortized topN maintenance: only mark dirty every M insertions.
-        if self._inserts_since_update[idx] >= self.update_period_m:
+        if inserts >= self.update_period_m:
             self._inserts_since_update[idx] = 0
             self._dirty.add(chip)
         else:
+            self._inserts_since_update[idx] = inserts
             self.topn_updates_deferred += 1
 
     def add_spilled(self, block_id: int, count: int = 1) -> None:
@@ -168,17 +176,15 @@ class SubgraphScheduler:
         self._touch()
         self.pwb[idx] -= count
         self.fl[idx] += count
-        self._dirty.add(int(self.block_chip[idx]))
+        self._dirty.add(self._block_chip[idx])
 
     def take_walks(self, block_id: int) -> tuple[int, int]:
         """Claim all of a block's walks for loading; returns (pwb, fl)."""
         idx = self._local(block_id)
-        pwb, fl = int(self.pwb[idx]), int(self.fl[idx])
+        pwb, fl = self.pwb[idx], self.fl[idx]
         self._touch()
-        self.pwb[idx] = 0
-        self.fl[idx] = 0
-        self._inserts_since_update[idx] = 0
-        chip = int(self.block_chip[idx])
+        self.pwb[idx] = self.fl[idx] = self._inserts_since_update[idx] = 0
+        chip = self._block_chip[idx]
         self._chip_pending[chip] -= pwb + fl
         self._dirty.add(chip)
         return pwb, fl
@@ -193,8 +199,20 @@ class SubgraphScheduler:
         """
         self._read_scores()
         if self._scores_cache is None:
-            self._scores_cache = self._eq1(slice(None))
+            base = np.array(self.pwb, dtype=np.int64) * self.alpha + np.array(
+                self.fl, dtype=np.int64
+            )
+            self._scores_cache = np.where(self.is_dense, base, base * self.beta)
         return self._scores_cache
+
+    def walk_counts(self) -> np.ndarray:
+        """Pending walks per block (cached; treat as read-only)."""
+        self._read_counts()
+        if self._counts_cache is None:
+            self._counts_cache = np.array(self.pwb, dtype=np.int64) + np.array(
+                self.fl, dtype=np.int64
+            )
+        return self._counts_cache
 
     def _read_scores(self) -> None:
         if self._scores_warm:
@@ -202,51 +220,48 @@ class SubgraphScheduler:
         else:
             self._scores_warm = True
 
-    def _eq1(self, idx) -> np.ndarray:
-        base = self.pwb[idx] * self.alpha + self.fl[idx]
-        return np.where(self.is_dense[idx], base, base * self.beta)
-
-    def walk_counts(self) -> np.ndarray:
-        """Pending walks per block (cached; treat as read-only)."""
-        if self._counts_cache is None:
-            self._counts_cache = self.pwb + self.fl
-        else:
+    def _read_counts(self) -> None:
+        if self._counts_warm:
             self.score_cache_hits += 1
-        return self._counts_cache
+        else:
+            self._counts_warm = True
 
     @property
     def total_pending(self) -> int:
-        return int(self.pwb.sum() + self.fl.sum())
+        return sum(self._chip_pending)
 
     # -- selection ----------------------------------------------------------------------
 
     def _refresh_top(self, chip: int) -> None:
-        counts = self.walk_counts()
-        blocks = self._chip_blocks[chip]
-        candidates = blocks[counts[blocks] > 0]
-        if candidates.size == 0:
-            self._top[chip] = []
-        else:
+        self._read_counts()
+        pwb, fl = self.pwb, self.fl
+        candidates = [b for b in self._chip_blocks[chip] if pwb[b] or fl[b]]
+        if candidates:
             if self.use_scores:
-                # Counts as one scores() read; Eq. 1 over just the
-                # candidates gives the same values.
+                # Counts as one scores() read.  Eq. 1 in Python floats
+                # rounds exactly as the vectorized scores() does.
                 self._read_scores()
-                key = self._eq1(candidates)
+                alpha, beta, dense = self.alpha, self.beta, self.is_dense
+
+                def key(b: int) -> float:
+                    base = pwb[b] * alpha + fl[b]
+                    return -base if dense[b] else -(base * beta)
             else:
-                key = counts[candidates]
-            # Stable sort on the negated key: descending by score, ties
-            # broken by *lowest* local block ID.  (A reversed ascending
-            # stable sort would break ties by highest index, making topN
-            # order depend on candidate layout rather than block ID.)
-            order = np.argsort(-key, kind="stable")
-            self._top[chip] = candidates[order][: self.top_n].tolist()
+
+                def key(b: int) -> float:
+                    return -(pwb[b] + fl[b])
+
+            # Stable sort of the ascending candidates on the negated key:
+            # descending by score, ties broken by *lowest* local block ID.
+            candidates = sorted(candidates, key=key)[: self.top_n]
+        self._top[chip] = candidates
         self.topn_refreshes += 1
         self._dirty.discard(chip)
         tr = self.tracer
         if tr is not None:
             tr.instant(
                 "sched", _PID_BOARD, chip, "topn_refresh",
-                args={"entries": len(self._top[chip])},
+                args={"entries": len(candidates)},
             )
 
     def next_subgraph(self, chip: int, exclude: set[int] | None = None) -> int | None:
@@ -258,14 +273,15 @@ class SubgraphScheduler:
         """
         if not 0 <= chip < self.n_chips:
             raise SchedulingError(f"chip {chip} out of range [0, {self.n_chips})")
-        exclude = exclude or set()
-        counts = self.walk_counts()
+        exclude = exclude or ()
+        self._read_counts()
+        pwb, fl, first = self.pwb, self.fl, self.first_block
         for _ in range(2):
             if chip in self._dirty or not self._top[chip]:
                 self._refresh_top(chip)
             for idx in self._top[chip]:
-                if counts[idx] > 0 and (idx + self.first_block) not in exclude:
-                    return idx + self.first_block
+                if (pwb[idx] or fl[idx]) and (idx + first) not in exclude:
+                    return idx + first
             # topN stale (all consumed): force one refresh, then give up.
             if chip not in self._dirty:
                 self._dirty.add(chip)
@@ -286,10 +302,10 @@ class SubgraphScheduler:
                     f"chip {chip} out of range [0, {self.n_chips})"
                 )
             idx = self._local(int(bid))
+            # Read the shared array, not the list index: when block_chip
+            # is a view the caller already rewrote, every block matches.
             old = int(self.block_chip[idx])
             if old == chip:
-                # Also the case for every block when block_chip is a
-                # view the caller already rewrote.
                 continue
             self.block_chip[idx] = chip
             self._dirty.add(old)
@@ -304,10 +320,10 @@ class SubgraphScheduler:
 
     def chips_with_work(self) -> list[int]:
         """Chip indices (ascending) that own blocks with pending walks."""
-        # walk_counts() is read for its score_cache_hits accounting (a
-        # report counter): one cached read per call.
-        self.walk_counts()
-        return np.flatnonzero(self._chip_pending).tolist()
+        # Counts as one walk_counts() read (score_cache_hits is a report
+        # counter).
+        self._read_counts()
+        return list(compress(range(self.n_chips), self._chip_pending))
 
     def consistency_errors(self, pwb_buffer) -> list[str]:
         """Scoreboard-vs-buffer divergences, one message per bad block.
@@ -318,33 +334,35 @@ class SubgraphScheduler:
         drain path).  Used by the service layer's invariant auditor.
         """
         errors = []
-        if int(self.pwb.min(initial=0)) < 0 or int(self.fl.min(initial=0)) < 0:
+        if min(self.pwb, default=0) < 0 or min(self.fl, default=0) < 0:
             errors.append("scheduler scoreboard has negative counts")
-        nonzero = np.flatnonzero((self.pwb != 0) | (self.fl != 0))
-        blocks = set((nonzero + self.first_block).tolist())
+        first = self.first_block
+        blocks = {
+            idx + first
+            for idx, (pwb, fl) in enumerate(zip(self.pwb, self.fl))
+            if pwb or fl
+        }
         blocks.update(pwb_buffer.blocks_with_walks())
         for block in sorted(blocks):
-            idx = block - self.first_block
-            sb, sf = int(self.pwb[idx]), int(self.fl[idx])
+            idx = block - first
+            sb, sf = self.pwb[idx], self.fl[idx]
             bb, bf = pwb_buffer.counts(block)
             if (sb, sf) != (bb, bf):
                 errors.append(
                     f"block {block}: scheduler ({sb},{sf}) vs buffer ({bb},{bf})"
                 )
-        # The per-chip lists, concatenated in chip order, must be the
-        # stable sort of block_chip, split at its per-chip counts.
-        sizes = np.bincount(self.block_chip, minlength=self.n_chips)
-        owned = np.concatenate(self._chip_blocks)
-        if [blocks.size for blocks in self._chip_blocks] != sizes.tolist() or (
-            not np.array_equal(owned, np.argsort(self.block_chip, kind="stable"))
+        # Every index must be what reindex_chips() builds from block_chip.
+        owners = self.block_chip.tolist()
+        if self._block_chip != owners or self._chip_blocks != self._blocks_by_chip(
+            owners
         ):
             errors.append("scheduler per-chip block lists diverge from block_chip")
-        expect = self._pending_by_chip()
-        for chip in np.flatnonzero(expect != self._chip_pending).tolist():
-            errors.append(
-                f"chip {chip}: scheduler pending {int(self._chip_pending[chip])} "
-                f"vs per-block sum {int(expect[chip])}"
-            )
+        expect = self._pending_by_chip(owners)
+        for chip, (have, want) in enumerate(zip(self._chip_pending, expect)):
+            if have != want:
+                errors.append(
+                    f"chip {chip}: scheduler pending {have} vs per-block sum {want}"
+                )
         return errors
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -358,9 +358,9 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
     if fw.scheduler is not None:
         sc = fw.scheduler
         data["scheduler"] = {
-            "pwb": sc.pwb.copy(),
-            "fl": sc.fl.copy(),
-            "inserts": sc._inserts_since_update.copy(),
+            "pwb": list(sc.pwb),
+            "fl": list(sc.fl),
+            "inserts": list(sc._inserts_since_update),
             "block_chip": sc.block_chip.copy(),
             "top": {c: list(v) for c, v in sc._top.items()},
             "dirty": set(sc._dirty),
@@ -370,7 +370,7 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
             # Cache warmth matters for replay parity: a restored-cold
             # cache would miss where the original timeline hit.
             "scores_warm": sc._scores_warm,
-            "counts_warm": sc._counts_cache is not None,
+            "counts_warm": sc._counts_warm,
         }
     if fw.pwb is not None:
         data["pwb_entries"] = {
@@ -484,22 +484,20 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         )
         fw.scheduler.tracer = fw.tracer
         sc = fw.scheduler
-        sc.pwb[:] = sd["pwb"]
-        sc.fl[:] = sd["fl"]
-        sc._inserts_since_update[:] = sd["inserts"]
+        sc.pwb = list(sd["pwb"])
+        sc.fl = list(sd["fl"])
+        sc._inserts_since_update = list(sd["inserts"])
         sc.block_chip[:] = sd["block_chip"]
         sc._top = {c: list(v) for c, v in sd["top"].items()}
         sc._dirty = set(sd["dirty"])
         sc.topn_refreshes = sd["refreshes"]
         sc.topn_updates_deferred = sd["deferred"]
         sc.score_cache_hits = sd.get("score_hits", 0)
-        # Re-warm what the snapshot saw as warm (the counts array is
-        # recomputed from the restored scoreboard, not stored): the
-        # first post-restore scores()/walk_counts() call then hits or
-        # misses exactly as the original timeline did.
+        # Re-warm what the snapshot saw as warm: the first post-restore
+        # scores()/walk_counts() read then hits or misses exactly as the
+        # original timeline did.
         sc._scores_warm = bool(sd.get("scores_warm"))
-        if sd.get("counts_warm"):
-            sc.walk_counts()
+        sc._counts_warm = bool(sd.get("counts_warm"))
         # block_chip and the scoreboard were overwritten above.
         sc.reindex_chips()
     if d["pwb_entries"] is not None:

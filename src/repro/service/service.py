@@ -28,6 +28,7 @@ recovered timeline rather than dropped.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -548,8 +549,8 @@ class WalkQueryService:
         """
         if not len(walks):
             return
-        ids, counts = np.unique(walks.src, return_counts=True)
-        for qid, n in zip(ids.tolist(), counts.tolist()):
+        # Credit, and answer, queries in ascending ID order.
+        for qid, n in sorted(Counter(walks.src.tolist()).items()):
             st = self.states[qid]
             st.walks_done += n
             if st.responded:

@@ -90,27 +90,32 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if queue empty."""
-        while self._queue:
-            ev = heapq.heappop(self._queue)[3]
-            if ev.cancelled:
-                continue
-            if ev.time < self.now:  # pragma: no cover - defensive
-                raise SimulationError(
-                    f"event time {ev.time} behind clock {self.now}"
-                )
-            self.now = ev.time
-            self._events_executed += 1
-            prof = self.profiler
-            if prof is None:
-                ev.fn()
+    def step(self, ev: Event | None = None) -> bool:
+        """Execute the next pending event.  Returns False if queue empty.
+
+        :meth:`run` passes in the live event it has already popped, so
+        every event executes inside one ``step`` call however it is run
+        (perfbench times each event as one ``Simulator.step`` span).
+        """
+        if ev is None:
+            while self._queue:
+                ev = heapq.heappop(self._queue)[3]
+                if not ev.cancelled:
+                    break
             else:
-                t0 = perf_counter()
-                ev.fn()
-                prof.record(ev.fn, perf_counter() - t0)
-            return True
-        return False
+                return False
+        if ev.time < self.now:  # pragma: no cover - defensive
+            raise SimulationError(f"event time {ev.time} behind clock {self.now}")
+        self.now = ev.time
+        self._events_executed += 1
+        prof = self.profiler
+        if prof is None:
+            ev.fn()
+        else:
+            t0 = perf_counter()
+            ev.fn()
+            prof.record(ev.fn, perf_counter() - t0)
+        return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Drain the event queue.
@@ -125,18 +130,24 @@ class Simulator:
             self.profiler.loop_started()
         try:
             executed = 0
-            while self._queue:
-                nxt = self._peek()
-                if nxt is None:
-                    break
-                if until is not None and nxt.time > until:
+            queue = self._queue
+            while queue:
+                # Pop each live event once; one the loop stops at goes
+                # back unchanged, so its (time, priority, seq) order holds.
+                entry = heapq.heappop(queue)
+                ev = entry[3]
+                if ev.cancelled:
+                    continue
+                if until is not None and ev.time > until:
+                    heapq.heappush(queue, entry)
                     self.now = until
                     return
                 if max_events is not None and executed >= max_events:
+                    heapq.heappush(queue, entry)
                     raise SimulationError(
                         f"exceeded max_events={max_events}; possible livelock"
                     )
-                self.step()
+                self.step(ev)
                 executed += 1
             if until is not None and until > self.now:
                 self.now = until
@@ -144,11 +155,6 @@ class Simulator:
             self._running = False
             if self.profiler is not None:
                 self.profiler.loop_stopped()
-
-    def _peek(self) -> Event | None:
-        while self._queue and self._queue[0][3].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0][3] if self._queue else None
 
     # -- introspection --------------------------------------------------------
 

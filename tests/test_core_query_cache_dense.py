@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.common import ReproError
 from repro.core import DenseVertexTable, QueryCacheArray, WalkQueryCache
@@ -160,6 +162,41 @@ def dense_part():
     return partition_graph(star_graph(5000), 4096)
 
 
+class HashingClassify:
+    """``DenseVertexTable.classify`` as it was before the table cached
+    per-vertex answers: hash every query through the Bloom filter, then
+    confirm the positives with a ``searchsorted`` probe."""
+
+    def __init__(self, table):
+        self.bloom, self.verts = table.bloom, table._verts
+        self.bloom_queries = self.bloom_positives = 0
+        self.hash_probes = self.false_positives = 0
+
+    def classify(self, v):
+        v = np.asarray(v, dtype=np.int64)
+        if v.size == 0:
+            return np.zeros(0, dtype=bool)
+        self.bloom_queries += v.size
+        maybe = np.atleast_1d(self.bloom.contains(v))
+        self.bloom_positives += int(maybe.sum())
+        confirmed = np.zeros(v.shape, dtype=bool)
+        if maybe.any():
+            cand = v[maybe]
+            self.hash_probes += cand.size
+            real = np.zeros(cand.shape, dtype=bool)
+            if self.verts.size:
+                pos = np.searchsorted(self.verts, cand)
+                ok = pos < self.verts.size
+                real[ok] = self.verts[pos[ok]] == cand[ok]
+            self.false_positives += int((~real).sum())
+            confirmed[np.flatnonzero(maybe)[real]] = True
+        return confirmed
+
+
+def counters(t):
+    return (t.bloom_queries, t.bloom_positives, t.hash_probes, t.false_positives)
+
+
 class TestDenseVertexTable:
     def test_classify_exact(self, dense_part, rng):
         t = DenseVertexTable(dense_part)
@@ -180,6 +217,40 @@ class TestDenseVertexTable:
         assert not mask.any()
         # probes happened for the positives (cost model visible)
         assert t.hash_probes >= t.false_positives
+
+    @given(batches=st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(0, 5000)), max_size=40),
+        min_size=1, max_size=6,
+    ))
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_classify_matches_hashing_classify(self, dense_part, batches):
+        # 2 bits per item: the filter answers yes for some sparse vertices.
+        t = DenseVertexTable(dense_part, bits_per_item=2)
+        ref = HashingClassify(t)
+        for batch in batches:
+            v = np.asarray(batch, dtype=np.int64)
+            np.testing.assert_array_equal(t.classify(v), ref.classify(v))
+            assert counters(t) == counters(ref)
+
+    def test_all_vertices_match_hashing_classify(self, dense_part):
+        t = DenseVertexTable(dense_part, bits_per_item=2)
+        ref = HashingClassify(t)
+        v = np.arange(dense_part.graph.num_vertices)
+        np.testing.assert_array_equal(t.classify(v), ref.classify(v))
+        assert counters(t) == counters(ref)
+        assert t.false_positives > 0
+
+    def test_classify_rejects_vertex_outside_graph(self, dense_part):
+        t = DenseVertexTable(dense_part)
+        with pytest.raises(ReproError):
+            t.bloom.contains(np.array([3, -1]))
+        for bad in (-1, dense_part.graph.num_vertices):
+            with pytest.raises(ReproError):
+                t.classify(np.array([3, bad]))
+        assert counters(t) == (0, 0, 0, 0)
 
     def test_no_dense_vertices(self, small_graph):
         part = partition_graph(small_graph, 1 << 16)

@@ -325,7 +325,7 @@ class TestSchedulerMatchesReference:
             ref_placement[:], is_dense, n_chips, 1.3, 1.5, top_n, m, use_scores
         )
         for _ in range(data.draw(st.integers(1, 40), label="ops")):
-            op = data.draw(st.integers(0, 6))
+            op = data.draw(st.integers(0, 7))
             b = data.draw(st.integers(0, n_blocks - 1))
             if op <= 1:
                 count = data.draw(st.integers(0, 5))
@@ -356,15 +356,22 @@ class TestSchedulerMatchesReference:
                 assert sc.next_subgraph(chip, exclude) == ref.next_subgraph(
                     chip, exclude
                 )
-            else:
+            elif op == 6:
                 got, want = sc.chips_with_work(), ref.chips_with_work()
                 np.testing.assert_array_equal(got, want)
+            else:
+                # The public array reads share the internal reads' cache
+                # accounting.
+                np.testing.assert_array_equal(sc.scores(), ref.scores())
+                np.testing.assert_array_equal(sc.walk_counts(), ref.walk_counts())
             assert sc._top == ref.top
             assert sc._dirty == ref.dirty
             assert (
                 sc.score_cache_hits, sc.topn_refreshes, sc.topn_updates_deferred
             ) == (ref.score_cache_hits, ref.topn_refreshes, ref.deferred)
             np.testing.assert_array_equal(sc.block_chip, ref.block_chip)
+            # Derived from the per-chip pending counts, not the blocks.
+            assert sc.total_pending == int(ref.pwb.sum() + ref.fl.sum())
             assert sc.consistency_errors(_MirrorBuffer(ref)) == []
 
 

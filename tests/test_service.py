@@ -22,6 +22,8 @@ from repro.service import (
     WalkQueryService,
     open_loop_requests,
 )
+from repro.service.service import _QueryState
+from repro.walks import WalkSet
 
 #: Force walks through the chip path so completions take real simulated
 #: time (a fully board-hot graph would finish queries synchronously at
@@ -240,6 +242,25 @@ class TestServiceHappyPath:
         )
         with pytest.raises(ConfigError):
             svc.run([req])
+
+
+class TestCompletionCrediting:
+    def test_batch_credits_queries_in_ascending_id_order(self, graph):
+        svc = make_service(graph, engine=ENGINE, audit_interval_events=0)
+        reqs = burst_requests(4, num_walks=3)
+        svc.fw.start_session(expected_walks=12)
+        for req in reqs:
+            svc.states[req.query_id] = _QueryState(
+                req=req, t_arrival=0.0, deadline_abs=1.0
+            )
+        # One completion batch, queries in descending ID order; query 1
+        # gets one of its three walks.
+        src = np.array([3, 3, 3, 2, 2, 2, 1, 0, 0, 0], dtype=np.int64)
+        svc._on_completed(1e-6, WalkSet(src, src, np.zeros_like(src)))
+        assert [svc.states[q].walks_done for q in range(4)] == [3, 1, 3, 3]
+        assert [r.query_id for r in svc.responses] == [0, 2, 3]
+        assert all(r.status == "ok" for r in svc.responses)
+        assert [r.walks_completed for r in svc.responses] == [3, 3, 3]
 
 
 class TestDeadlines:

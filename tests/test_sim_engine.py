@@ -106,6 +106,66 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
 
+    def test_event_held_at_until_runs_exactly_once(self):
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append(1))
+        sim.at(5.0, lambda: fired.append(5))
+        sim.at(5.0, lambda: fired.append(6), priority=1)
+        sim.run(until=2.0)
+        assert sim.events_executed == 1
+        assert sim.pending_events == 2
+        sim.run(until=3.0)
+        sim.run()
+        assert fired == [1, 5, 6]
+        assert sim.events_executed == 3
+        assert sim.pending_events == 0
+
+    def test_event_held_at_max_events_runs_exactly_once(self):
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.at(float(i), lambda i=i: fired.append(i))
+        with pytest.raises(SimulationError):
+            sim.run(max_events=3)
+        assert fired == [0, 1, 2]
+        assert sim.events_executed == 3
+        assert sim.now == 2.0
+        sim.run()
+        assert fired == [0, 1, 2, 3, 4]
+        assert sim.events_executed == 5
+
+    def test_step_and_run_share_the_event_count(self):
+        sim = Simulator()
+        fired = []
+        for i in range(4):
+            sim.at(float(i), lambda i=i: fired.append(i))
+        sim.at(0.5, lambda: fired.append(-1)).cancel()
+        assert sim.step() is True
+        sim.run(until=1.5)
+        assert sim.step() is True
+        sim.run()
+        assert fired == [0, 1, 2, 3]
+        assert sim.events_executed == 4
+
+    def test_run_executes_each_event_in_one_step_call(self, monkeypatch):
+        # A profiler that wraps Simulator.step sees one call per event.
+        calls = []
+        step = Simulator.step
+
+        def counting_step(self, ev=None):
+            calls.append(ev)
+            return step(self, ev)
+
+        monkeypatch.setattr(Simulator, "step", counting_step)
+        sim = Simulator()
+        for i in range(3):
+            sim.at(float(i), lambda: None)
+        sim.at(0.5, lambda: None).cancel()
+        sim.run()
+        assert len(calls) == sim.events_executed == 3
+        assert all(ev is not None and not ev.cancelled for ev in calls)
+
     def test_step_returns_false_when_empty(self):
         sim = Simulator()
         assert sim.step() is False
