@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import PowerLossError, SimulationError
+from ..core.buffers import WalkBatch
 from ..walks.spec import WalkSpec
 from ..walks.state import WalkSet
 
@@ -105,10 +106,14 @@ class ShardRuntime:
         self.fw._on_completed = self._collect
         return t0
 
-    def _collect(self, t: float, walks: WalkSet) -> None:
+    def _collect(self, t: float, walks: WalkBatch) -> None:
         if len(walks):
             self._completions.append(
-                (float(t), walks.src.copy(), walks.cur.copy())
+                (
+                    float(t),
+                    np.array(walks.src, dtype=np.int64),
+                    np.array(walks.cur, dtype=np.int64),
+                )
             )
 
     # ------------------------------------------------------------------- step

@@ -14,7 +14,9 @@ over the walks in Python, which is cheaper for the few-walk batches the
 engine mostly runs (its per-call NumPy overhead is gone).  The per-walk
 kernel makes the same RNG draws in the same order and returns the same
 walks in the same order, so :func:`advance_batch` picks between them by
-batch size alone (DESIGN.md Section 8, "host hot path").
+batch size alone (DESIGN.md Section 8, "host hot path").  Both take and
+return list-backed walk batches (:class:`~repro.core.buffers.WalkBatch`);
+only the vectorized kernel converts to arrays, at its entry and exit.
 
 Dense-vertex rules (Section III-D): a walk *landing on* a dense vertex
 always exits as roving — it needs board-level pre-walking.  A walk
@@ -34,7 +36,6 @@ from ..graph.csr import CSRGraph
 from ..graph.partition import GraphPartitioning
 from ..walks.sampling import its_search_steps
 from ..walks.spec import WalkSpec
-from ..walks.state import WalkSet
 from .buffers import WalkBatch
 
 __all__ = [
@@ -47,10 +48,11 @@ __all__ = [
     "in_sorted",
 ]
 
-#: Batches smaller than this run the per-walk kernel: the batch size at
-#: which both kernels took the same host time per call on batches
+#: Batches smaller than this run the per-walk kernel, and the engine's
+#: board pass runs one walk at a time: about the batch size at which
+#: either pair of paths took the same host time per call on batches
 #: recorded from the benchmark workloads (DESIGN.md Section 8, "host
-#: hot path").
+#: hot path"; ``benchmarks/bench_crossovers.py`` re-measures both).
 PER_WALK_CROSSOVER = 64
 
 
@@ -100,10 +102,11 @@ class AdvanceContext:
 
 @dataclass
 class AdvanceResult:
-    """Outcome of draining one batch against a loaded subgraph set."""
+    """Outcome of draining one batch against a loaded subgraph set.
+    ``completed`` and ``roving`` carry no pre-walked edges."""
 
-    completed: WalkSet
-    roving: WalkSet
+    completed: WalkBatch
+    roving: WalkBatch
     hops: int
     guide_ops: int
     bias_steps: int
@@ -123,7 +126,7 @@ def advance_batch(
 
     ``batch.pre_edge`` entries >= 0 are resolved on the first iteration
     (their dense block must be in ``loaded_blocks``).  Returns completed
-    and roving walk sets plus the operation counts for timing.  Batches
+    and roving walk batches plus the operation counts for timing.  Batches
     of fewer than :data:`PER_WALK_CROSSOVER` uniform walks take the
     per-walk kernel; the result and the RNG state afterwards are the
     same either way.
@@ -148,11 +151,10 @@ def advance_per_walk(
     Walk positions must be valid vertices: Python lists wrap negative
     indices, so nothing here would catch one.
     """
-    walks = batch.walks
-    src = walks.src.tolist()
-    cur = walks.cur.tolist()
-    hop = walks.hop.tolist()
-    pre = batch.pre_edge.tolist() if batch.pre_edge is not None else None
+    src = batch.src
+    cur = list(batch.cur)
+    hop = list(batch.hop)
+    pre = batch.pre_edge
     loaded = {int(b) for b in loaded_blocks}
     n_cmp = max(1, len(loaded))  # guider compares against each loaded range
     offset = ctx.graph.offsets.item
@@ -237,22 +239,19 @@ def advance_per_walk(
         active = staying
 
     return AdvanceResult(
-        completed=_walk_set(done_src, done_cur, done_hop),
-        roving=_walk_set(rove_src, rove_cur, rove_hop),
+        completed=WalkBatch(done_src, done_cur, done_hop),
+        roving=WalkBatch(rove_src, rove_cur, rove_hop),
         hops=hops,
         guide_ops=guide_ops,
         bias_steps=0,
     )
 
 
-def _walk_set(src: list[int], cur: list[int], hop: list[int]) -> WalkSet:
-    if not src:
-        return WalkSet.empty()
-    return WalkSet.trusted(
-        np.array(src, dtype=np.int64),
-        np.array(cur, dtype=np.int64),
-        np.array(hop, dtype=np.int64),
-    )
+def _gather(parts: list[tuple]) -> WalkBatch:
+    """One batch from (src, cur, hop) array triples, in order."""
+    if not parts:
+        return WalkBatch.empty()
+    return WalkBatch(*(np.concatenate(f).tolist() for f in zip(*parts)))
 
 
 def advance_vectorized(
@@ -264,27 +263,27 @@ def advance_vectorized(
     """The batch-at-a-time kernel: every iteration advances all active
     walks with NumPy.  Serves any sampler."""
     loaded = np.asarray(sorted(set(int(b) for b in loaded_blocks)), dtype=np.int64)
-    walks = batch.walks
-    n = len(walks)
+    n = len(batch)
     if n == 0:
-        return AdvanceResult(WalkSet.empty(), WalkSet.empty(), 0, 0, 0)
+        return AdvanceResult(WalkBatch.empty(), WalkBatch.empty(), 0, 0, 0)
 
     graph = ctx.graph
     part = ctx.partitioning
     offsets = graph.offsets
     edges = graph.edges
 
-    src = walks.src.copy()
-    cur = walks.cur.copy()
-    hop = walks.hop.copy()
+    src = np.array(batch.src, dtype=np.int64)
+    cur = np.array(batch.cur, dtype=np.int64)
+    hop = np.array(batch.hop, dtype=np.int64)
     pre = (
-        batch.pre_edge.copy()
+        np.array(batch.pre_edge, dtype=np.int64)
         if batch.pre_edge is not None
         else np.full(n, -1, dtype=np.int64)
     )
 
-    completed_parts: list[WalkSet] = []
-    roving_parts: list[WalkSet] = []
+    # (src, cur, hop) array triples of finished / roving walks, in order.
+    completed_parts: list[tuple] = []
+    roving_parts: list[tuple] = []
     hops = 0
     guide_ops = 0
     bias_steps = 0
@@ -347,9 +346,7 @@ def advance_vectorized(
                 done |= tmp
         done_idx = active[done]
         if done_idx.size:
-            completed_parts.append(
-                WalkSet.trusted(src[done_idx], cur[done_idx], hop[done_idx])
-            )
+            completed_parts.append((src[done_idx], cur[done_idx], hop[done_idx]))
         cont = active[~done]
         if cont.size == 0:
             break
@@ -360,14 +357,12 @@ def advance_vectorized(
         stays = in_sorted(loaded, blocks) & ~ctx.is_dense_vertex[v]
         rove_idx = cont[~stays]
         if rove_idx.size:
-            roving_parts.append(
-                WalkSet.trusted(src[rove_idx], cur[rove_idx], hop[rove_idx])
-            )
+            roving_parts.append((src[rove_idx], cur[rove_idx], hop[rove_idx]))
         active = cont[stays]
 
     return AdvanceResult(
-        completed=WalkSet.concat(completed_parts),
-        roving=WalkSet.concat(roving_parts),
+        completed=_gather(completed_parts),
+        roving=_gather(roving_parts),
         hops=hops,
         guide_ops=guide_ops,
         bias_steps=bias_steps,

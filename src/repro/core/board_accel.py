@@ -32,6 +32,8 @@ class BoardAccelerator:
         self.acc = cfg.levels.board
         self.dense_table = dense_table
         self.hot_blocks: list[int] = []
+        #: The same blocks as a set, for the per-walk board pass.
+        self.hot_block_set: frozenset[int] = frozenset()
         self.mapping: SubgraphMappingTable | None = None
         self.caches = (
             QueryCacheArray(cfg.n_query_caches, cfg.query_cache_entries)
@@ -53,6 +55,7 @@ class BoardAccelerator:
 
     def set_hot_blocks(self, blocks: list[int]) -> None:
         self.hot_blocks = list(blocks)
+        self.hot_block_set = frozenset(self.hot_blocks)
 
     def set_mapping(self, mapping: SubgraphMappingTable) -> None:
         """Install the partition's mapping table; query caches reset."""
@@ -87,9 +90,9 @@ class BoardAccelerator:
         return t
 
     def query_and_direct(
-        self, block_ids: np.ndarray, scoped: bool
+        self, block_ids: list[int] | np.ndarray, scoped: bool
     ) -> tuple[float, int, int, int]:
-        """Cost of resolving ``block_ids.size`` walk queries.
+        """Cost of resolving ``len(block_ids)`` walk queries.
 
         ``scoped`` means the walks arrived tagged by the channel's
         approximate search, so a miss searches only ``range_subgraphs``
@@ -100,7 +103,7 @@ class BoardAccelerator:
         """
         if self.mapping is None:
             raise ReproError("board mapping table not installed")
-        n = int(block_ids.size)
+        n = len(block_ids)
         if n == 0:
             return 0.0, 0, 0, 0
         scope = (

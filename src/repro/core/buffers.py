@@ -27,41 +27,86 @@ __all__ = ["WalkBatch", "BlockEntry", "PartitionWalkBuffer", "ForeignerStore"]
 
 
 class WalkBatch:
-    """A WalkSet plus optional parallel pre-walked edge indices."""
+    """Walks in flight, as aligned per-field Python lists.
 
-    __slots__ = ("walks", "pre_edge")
+    ``src``, ``cur`` and ``hop`` are the walk records; ``pre_edge`` is
+    None or holds each walk's pre-walked edge index (-1 where none).
+    Between a buffer drain and the next buffer push walks stay in this
+    form, so the few-walk batches the engine mostly moves pay no NumPy
+    conversion; :class:`~repro.walks.state.WalkSet` stays at the edges
+    (run starts, injections, foreigner pools, checkpoints, results).
+    """
 
-    def __init__(self, walks: WalkSet, pre_edge: np.ndarray | None = None):
-        if pre_edge is not None:
-            pre_edge = np.asarray(pre_edge, dtype=np.int64)
-            if pre_edge.shape != walks.src.shape:
-                raise ReproError("pre_edge must align with the walk set")
-        self.walks = walks
+    __slots__ = ("src", "cur", "hop", "pre_edge")
+
+    def __init__(self, src: list, cur: list, hop: list, pre_edge: list | None = None):
+        n = len(src)
+        if len(cur) != n or len(hop) != n or (
+            pre_edge is not None and len(pre_edge) != n
+        ):
+            raise ReproError("walk batch fields must align")
+        self.src = src
+        self.cur = cur
+        self.hop = hop
         self.pre_edge = pre_edge
 
+    @classmethod
+    def empty(cls) -> "WalkBatch":
+        return cls([], [], [])
+
+    @classmethod
+    def of(cls, walks: WalkSet, pre_edge: np.ndarray | None = None) -> "WalkBatch":
+        """From a :class:`WalkSet` (and optional pre-edge array)."""
+        return cls(
+            walks.src.tolist(), walks.cur.tolist(), walks.hop.tolist(),
+            None if pre_edge is None else np.asarray(pre_edge).tolist(),
+        )
+
+    def to_walks(self) -> WalkSet:
+        """The walk records as a :class:`WalkSet` (pre-edges dropped)."""
+        if not self.src:
+            return WalkSet.empty()
+        rows = np.array([self.src, self.cur, self.hop], dtype=np.int64)
+        return WalkSet.trusted(rows[0], rows[1], rows[2])
+
     def __len__(self) -> int:
-        return len(self.walks)
+        return len(self.src)
+
+    def split(self, flags: list) -> tuple["WalkBatch", "WalkBatch"]:
+        """(walks where ``flags``, the rest), each in batch order.
+        Pre-walked edges are dropped."""
+        yes = ([], [], [])
+        no = ([], [], [])
+        for f, s, c, h in zip(flags, self.src, self.cur, self.hop):
+            out = yes if f else no
+            out[0].append(s)
+            out[1].append(c)
+            out[2].append(h)
+        return WalkBatch(*yes), WalkBatch(*no)
+
+    def extend(self, other: "WalkBatch") -> None:
+        """Append ``other``'s walks; pre_edge becomes -1 where a side
+        had none (as in :meth:`BlockEntry.extend`)."""
+        n = len(other.src)
+        if not n:
+            return
+        if other.pre_edge is not None:
+            if self.pre_edge is None:
+                self.pre_edge = [-1] * len(self.src)
+            self.pre_edge.extend(other.pre_edge)
+        elif self.pre_edge is not None:
+            self.pre_edge.extend([-1] * n)
+        self.src.extend(other.src)
+        self.cur.extend(other.cur)
+        self.hop.extend(other.hop)
 
     @staticmethod
     def merge(batches: list["WalkBatch"]) -> "WalkBatch":
-        """Concatenate; pre_edge becomes -1 where a batch had none.
-
-        The buffer itself keeps flat lists (:class:`BlockEntry`);
-        perfbench's per-layer target list still names this method.
-        """
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            return WalkBatch(WalkSet.empty(), np.zeros(0, dtype=np.int64))
-        walks = WalkSet.concat([b.walks for b in batches])
-        if all(b.pre_edge is None for b in batches):
-            return WalkBatch(walks, None)
-        parts = [
-            b.pre_edge
-            if b.pre_edge is not None
-            else np.full(len(b), -1, dtype=np.int64)
-            for b in batches
-        ]
-        return WalkBatch(walks, np.concatenate(parts))
+        """Concatenate into a new batch (see :meth:`extend`)."""
+        out = WalkBatch.empty()
+        for b in batches:
+            out.extend(b)
+        return out
 
 
 class BlockEntry:
@@ -98,6 +143,8 @@ class BlockEntry:
         n = len(src)
         if not n:
             return
+        # Inline rather than shared with WalkBatch.extend: this runs once
+        # per block group of every push.
         if pre_edge is not None:
             if self.pre_edge is None:
                 self.pre_edge = [-1] * len(self.src)
@@ -149,10 +196,7 @@ class BlockEntry:
         self.buffered_count = self.spilled_count = 0
         if ns and nb:
             fields = [xs[ns:] + xs[:ns] for xs in fields]
-        # One conversion for all fields; each row is a contiguous array.
-        rows = np.array(fields, dtype=np.int64)
-        walks = WalkSet.trusted(rows[0], rows[1], rows[2])
-        return WalkBatch(walks, rows[3] if has_pre else None), nb, ns
+        return WalkBatch(*fields), nb, ns
 
     def state(self) -> tuple:
         """Copy for a checkpoint: ``(src, cur, hop, pre_edge or None,
@@ -219,7 +263,9 @@ class PartitionWalkBuffer:
         self._check_range(block_id, block_id)
         return self._caps[block_id - self.first_block]
 
-    def push(self, blocks: np.ndarray, batch: WalkBatch) -> list[tuple[int, int, int]]:
+    def push(
+        self, blocks: list[int] | np.ndarray, batch: WalkBatch
+    ) -> list[tuple[int, int, int]]:
         """Insert a directed batch: walk ``i`` waits for ``blocks[i]``.
 
         Entries are visited in ascending block ID; each receives its
@@ -227,20 +273,18 @@ class PartitionWalkBuffer:
         Returns ``(block, n_walks, n_spilled)`` per visited entry, in
         the same order.
         """
-        keys = np.asarray(blocks).tolist()
+        keys = blocks if isinstance(blocks, list) else np.asarray(blocks).tolist()
         if len(keys) != len(batch):
             raise BufferOverflowError(
                 f"{len(keys)} block IDs for a batch of {len(batch)} walks"
             )
         if not keys:
             return []
-        w, pre = batch.walks, batch.pre_edge
+        pre = batch.pre_edge
         # Per block: (src, cur, hop, pre_edge or None) lists, arrival order.
         groups: dict[int, tuple] = {}
         if pre is None:
-            for b, s, c, h in zip(
-                keys, w.src.tolist(), w.cur.tolist(), w.hop.tolist()
-            ):
+            for b, s, c, h in zip(keys, batch.src, batch.cur, batch.hop):
                 g = groups.get(b)
                 if g is None:
                     groups[b] = ([s], [c], [h], None)
@@ -249,10 +293,7 @@ class PartitionWalkBuffer:
                     g[1].append(c)
                     g[2].append(h)
         else:
-            for b, s, c, h, p in zip(
-                keys, w.src.tolist(), w.cur.tolist(), w.hop.tolist(),
-                pre.tolist(),
-            ):
+            for b, s, c, h, p in zip(keys, batch.src, batch.cur, batch.hop, pre):
                 g = groups.get(b)
                 if g is None:
                     groups[b] = ([s], [c], [h], [p])
@@ -283,7 +324,7 @@ class PartitionWalkBuffer:
         """Take all walks waiting for ``block_id``."""
         e = self._entries.pop(block_id, None)
         if e is None:
-            return WalkBatch(WalkSet.empty()), 0, 0
+            return WalkBatch.empty(), 0, 0
         return e.drain()
 
     def counts(self, block_id: int) -> tuple[int, int]:
@@ -344,12 +385,16 @@ class ForeignerStore:
         self._pools: list[list[WalkSet]] = [[] for _ in range(n_partitions)]
         self._counts = np.zeros(n_partitions, dtype=np.int64)
 
-    def push(self, partition_id: int, walks: WalkSet) -> None:
+    def push(self, partition_id: int, walks: WalkSet | WalkBatch) -> None:
+        """Pool ``walks`` for ``partition_id``; a :class:`WalkBatch` is
+        stored as a :class:`WalkSet`."""
         if not 0 <= partition_id < self.n_partitions:
             raise ReproError(
                 f"partition {partition_id} out of range [0, {self.n_partitions})"
             )
         if len(walks):
+            if isinstance(walks, WalkBatch):
+                walks = walks.to_walks()
             self._pools[partition_id].append(walks)
             self._counts[partition_id] += len(walks)
 

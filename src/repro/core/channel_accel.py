@@ -28,8 +28,10 @@ class ChannelAccelerator:
         self.walk_bytes = walk_bytes
         #: Hot (top in-degree) blocks resident here; set per run.
         self.hot_blocks: list[int] = []
-        #: Sorted copy for binary-search membership on the collect path.
+        #: Sorted copy for binary-search membership on the collect path,
+        #: and a set for the per-walk test of small collections.
         self.hot_blocks_sorted = np.zeros(0, dtype=np.int64)
+        self.hot_block_set: frozenset[int] = frozenset()
         #: The partition's subgraph-range table (set at partition start).
         self.range_table: RangeTable | None = None
         self.collect_scheduled = False
@@ -43,6 +45,7 @@ class ChannelAccelerator:
     def set_hot_blocks(self, blocks: list[int]) -> None:
         self.hot_blocks = list(blocks)
         self.hot_blocks_sorted = np.sort(np.asarray(self.hot_blocks, dtype=np.int64))
+        self.hot_block_set = frozenset(self.hot_blocks)
 
     def set_range_table(self, table: RangeTable | None) -> None:
         self.range_table = table

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from ..common.config import AcceleratorConfig
 from ..common.errors import ReproError
-from ..walks.state import WalkSet
 from .advance import AdvanceResult
+from .buffers import WalkBatch
 
 __all__ = ["ChipAccelerator"]
 
@@ -48,8 +48,7 @@ class ChipAccelerator:
         #: scheduler stops targeting it and in-flight walks are rerouted.
         self.failed = False
         #: Roving walks awaiting the channel accelerator's collection.
-        self.pending_rove: list[WalkSet] = []
-        self.pending_rove_count = 0
+        self.pending_rove = WalkBatch.empty()
         #: Completed walks awaiting write-back (count only: the record
         #: content no longer matters, just the flush traffic).
         self.pending_completed = 0
@@ -78,20 +77,22 @@ class ChipAccelerator:
 
     # -- roving buffer ------------------------------------------------------------
 
-    def push_roving(self, walks: WalkSet) -> None:
+    @property
+    def pending_rove_count(self) -> int:
+        return len(self.pending_rove)
+
+    def push_roving(self, walks: WalkBatch) -> None:
         if len(walks):
-            self.pending_rove.append(walks)
-            self.pending_rove_count += len(walks)
+            self.pending_rove.extend(walks)
             tr = self.tracer
             if tr is not None:
                 tr.highwater(
                     "buf.roving_bytes", self.pending_rove_count * self.walk_bytes
                 )
 
-    def take_roving(self) -> WalkSet:
-        walks = WalkSet.concat(self.pending_rove)
-        self.pending_rove = []
-        self.pending_rove_count = 0
+    def take_roving(self) -> WalkBatch:
+        walks = self.pending_rove
+        self.pending_rove = WalkBatch.empty()
         return walks
 
     def take_completed(self) -> int:

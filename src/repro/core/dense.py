@@ -15,6 +15,8 @@ and a false positive only costs a wasted hash probe.  The filter's
 answer for a vertex never changes, so the table asks it once per vertex
 at construction and :meth:`DenseVertexTable.classify` gathers the
 answers; the counters are those of querying the filter per walk.
+Both calls take a NumPy array or, for the engine's per-walk board pass,
+a list of vertices, and answer in the kind they were given.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ _CHUNK = 1 << 15
 
 
 class PreWalkResult:
-    """Outcome of pre-walking a batch: target block + in-block edge offset."""
+    """Outcome of pre-walking a batch: target block + in-block edge offset
+    (arrays, or lists for a list of vertices)."""
 
     __slots__ = ("block", "edge_offset")
 
@@ -78,6 +81,16 @@ class DenseVertexTable:
             self._maybe[lo:hi] = self.bloom.contains(np.arange(lo, hi))
         self._is_dense = np.zeros(n_vertices, dtype=bool)
         self._is_dense[self._verts] = True
+        # Plain-Python copies for list queries: the Bloom positives, and
+        # (degree, first block, edges per block) per dense vertex.
+        self._maybe_set = frozenset(np.flatnonzero(self._maybe).tolist())
+        self._pre_meta = {
+            int(v): (int(m.out_degree), int(m.first_block), int(m.edges_per_block))
+            for v, m in self.meta.items()
+        }
+        #: Each block's first edge within its dense vertex's adjacency
+        #: (0 for normal blocks), as Python ints.
+        self.block_edge_lo: list[int] = partitioning.block_edge_lo.tolist()
         self.bloom_queries = 0
         self.bloom_positives = 0
         self.false_positives = 0
@@ -87,12 +100,14 @@ class DenseVertexTable:
     def num_dense(self) -> int:
         return len(self.meta)
 
-    def classify(self, v: np.ndarray) -> np.ndarray:
+    def classify(self, v: np.ndarray | list[int]) -> np.ndarray | list[bool]:
         """Mask of vertices that are dense, via bloom + hash confirm.
 
         Bloom false positives are counted (they cost a hash probe) but
         corrected by the hash-table miss, so the result is exact.
         """
+        if isinstance(v, list):
+            return self._classify_list(v)
         v = np.asarray(v, dtype=np.int64)
         if v.size == 0:
             return np.zeros(0, dtype=bool)
@@ -108,12 +123,31 @@ class DenseVertexTable:
         self.false_positives += positives - int(np.count_nonzero(confirmed))
         return confirmed
 
-    def pre_walk(self, v: np.ndarray, rng: np.random.Generator) -> PreWalkResult:
+    def _classify_list(self, v: list[int]) -> list[bool]:
+        if not v:
+            return []
+        if min(v) < 0 or max(v) >= self._maybe.size:
+            raise ReproError(f"classify: vertex outside [0, {self._maybe.size})")
+        maybe = self._maybe_set
+        meta = self.meta
+        positives = sum(x in maybe for x in v)
+        confirmed = [x in meta for x in v]
+        self.bloom_queries += len(v)
+        self.bloom_positives += positives
+        self.hash_probes += positives
+        self.false_positives += positives - sum(confirmed)
+        return confirmed
+
+    def pre_walk(
+        self, v: np.ndarray | list[int], rng: np.random.Generator
+    ) -> PreWalkResult:
         """Pre-walk a batch of dense walks sitting at dense vertices ``v``.
 
         Draws the uniform edge index now and splits it into (target
         block, in-block offset).  All ``v`` must be dense.
         """
+        if isinstance(v, list):
+            return self._pre_walk_list(v, rng)
         v = np.asarray(v, dtype=np.int64)
         if v.size == 0:
             return PreWalkResult(
@@ -131,6 +165,23 @@ class DenseVertexTable:
         np.minimum(rnd, deg - 1, out=rnd)
         block = self._first[pos] + rnd // self._per_block[pos]
         return PreWalkResult(block, rnd % self._per_block[pos])
+
+    def _pre_walk_list(self, v: list[int], rng: np.random.Generator) -> PreWalkResult:
+        """:meth:`pre_walk` on a list: the same one draw per walk."""
+        if not v:
+            return PreWalkResult([], [])
+        meta = self._pre_meta
+        if any(x not in meta for x in v):
+            raise ReproError("pre_walk called with a non-dense vertex")
+        block, offset = [], []
+        for x, r in zip(v, rng.random(len(v)).tolist()):
+            deg, first, per_block = meta[x]
+            rnd = int(r * deg)
+            if rnd > deg - 1:
+                rnd = deg - 1
+            block.append(first + rnd // per_block)
+            offset.append(rnd % per_block)
+        return PreWalkResult(block, offset)
 
     @property
     def measured_fpr(self) -> float:

@@ -21,6 +21,7 @@ Section 4 for the hybrid event/batch model.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from ..sim.resources import FcfsResource
 from ..walks.sampling import make_sampler
 from ..walks.spec import WalkSpec, start_vertices
 from ..walks.state import WalkSet
-from .advance import AdvanceContext, advance_batch, in_sorted
+from .advance import PER_WALK_CROSSOVER, AdvanceContext, advance_batch, in_sorted
 from .board_accel import BoardAccelerator
 from .buffers import ForeignerStore, PartitionWalkBuffer, WalkBatch
 from .channel_accel import ChannelAccelerator
@@ -221,6 +222,7 @@ class FlashWalker:
             )
         else:
             self._hot_dense_verts = np.zeros(0, dtype=np.int64)
+        self._hot_dense_set = frozenset(self._hot_dense_verts.tolist())
         if not self.cfg.opt_hot_subgraphs:
             self.board.set_hot_blocks([])
             for ch in self.channels:
@@ -287,7 +289,8 @@ class FlashWalker:
         self.in_transit = 0
         self._board_pipe = FcfsResource("board.direct", 1)
         self._flush_cursor = 0
-        self._finals: list[WalkSet] | None = None
+        #: Completed walks in completion order, with ``record_finals``.
+        self._finals: WalkBatch | None = None
         self._done = False
         # Optional completion observer fn(t, walks) used by the service
         # layer (repro.service) to attribute finished walks to queries.
@@ -379,8 +382,7 @@ class FlashWalker:
             chip.loaded = []
             chip.busy = False
             chip.failed = False
-            chip.pending_rove = []
-            chip.pending_rove_count = 0
+            chip.pending_rove = WalkBatch.empty()
             chip.pending_completed = 0
             chip.tracer = self.tracer
         for ch in self.channels:
@@ -417,7 +419,7 @@ class FlashWalker:
         self._crashes_fired = 0
         self._last_power_loss = None
         if record_finals:
-            self._finals = []
+            self._finals = WalkBatch.empty()
         if starts is None:
             if num_walks is None or num_walks < 1:
                 raise SimulationError("need num_walks >= 1 or explicit starts")
@@ -446,7 +448,7 @@ class FlashWalker:
         # Preload hot subgraphs (flash reads + channel transfers).
         t0 = self._preload_hot_blocks(0.0)
         self._install_partition(0, t0)
-        walks = WalkSet.start(starts, self.spec.length)
+        walks = WalkBatch.of(WalkSet.start(starts, self.spec.length))
         self.sim.at(t0, lambda: self._board_direct(walks, scoped=False))
         if self.fault_model is not None:
             for t_fail, chip_flat in self.cfg.faults.chip_failures:
@@ -536,7 +538,7 @@ class FlashWalker:
             self._arm_durability()
         if "ftlgc" not in self._dur_events:
             self._arm_ftl_gc()
-        self._board_direct(walks, scoped=False)
+        self._board_direct(WalkBatch.of(walks), scoped=False)
 
     def _check_positions(self, cur: np.ndarray) -> None:
         """Reject walk positions outside the graph.  Walks entering the
@@ -574,7 +576,7 @@ class FlashWalker:
             for name, value in self.slow_model.stats().items():
                 result.counters[name] = float(value)
         if self._finals is not None:
-            finals = WalkSet.concat(self._finals)
+            finals = self._finals.to_walks()
             result.counters["finals_recorded"] = float(len(finals))
             result.finals = finals
         result.seed = self._seed
@@ -689,7 +691,7 @@ class FlashWalker:
         pid = int(later[0]) if later.size else int(pending[0])
         self.metrics.partition_switches.add()
         self._install_partition(pid, t)
-        walks = self.foreign.drain(pid)
+        walks = WalkBatch.of(self.foreign.drain(pid))
         self.in_transit += len(walks)
         # Foreigner walks come back from flash (scattered pages).
         nbytes = len(walks) * self.cfg.walk_bytes
@@ -712,12 +714,23 @@ class FlashWalker:
 
     # ------------------------------------------------------------ board level
 
-    def _board_direct(self, walks: WalkSet, scoped: bool) -> None:
-        """Direct a batch of roving/new walks at the board level."""
-        t = self.sim.now
+    def _board_direct(self, walks: WalkBatch, scoped: bool) -> None:
+        """Direct a batch of roving/new walks at the board level.
+
+        Batches below :data:`PER_WALK_CROSSOVER` take the per-walk pass,
+        larger ones the vectorized pass; both make the same draws and
+        calls in the same order, so the choice is host time only.
+        """
         if len(walks) == 0:
-            self._service_barriers(t)
-            return
+            self._service_barriers(self.sim.now)
+        elif len(walks) < PER_WALK_CROSSOVER:
+            self._board_walks(walks, scoped)
+        else:
+            self._board_batch(walks.to_walks(), scoped)
+
+    def _board_batch(self, walks: WalkSet, scoped: bool) -> None:
+        """The vectorized board pass."""
+        t = self.sim.now
         busy = 0.0
         m = self.metrics
         normal_parts: list[WalkSet] = []
@@ -737,7 +750,7 @@ class FlashWalker:
                     hot_walks, walks = walks.split(in_hot)
                     res = advance_batch(
                         self.ctx,
-                        WalkBatch(hot_walks),
+                        WalkBatch.of(hot_walks),
                         self.board.hot_blocks,
                         self.rngs.stream("board"),
                     )
@@ -748,7 +761,7 @@ class FlashWalker:
                         self._complete_walks(
                             t, res.n_completed, sink="board", walks=res.completed
                         )
-                    walks = WalkSet.concat([walks, res.roving])
+                    walks = WalkSet.concat([walks, res.roving.to_walks()])
             if len(walks) == 0:
                 break
             # 2. Dense-vertex classification (bloom + hash).
@@ -800,14 +813,13 @@ class FlashWalker:
                             t,
                             n_done,
                             sink="board",
-                            walks=WalkSet.trusted(
-                                hw.src[done], nxt[done], hop[done]
+                            walks=WalkBatch(
+                                hw.src[done].tolist(),
+                                nxt[done].tolist(),
+                                hop[done].tolist(),
                             ),
                         )
-                    survivors = WalkSet.trusted(
-                        hw.src[~done], nxt[~done], hop[~done]
-                    )
-                    walks = WalkSet.concat([walks, survivors])
+                    walks = WalkSet.trusted(hw.src[~done], nxt[~done], hop[~done])
                     dense_walks = dense_walks.select(~at_hot)
                     pw_block = pw.block[~at_hot]
                     pw_edge = pw.edge_offset[~at_hot]
@@ -820,10 +832,12 @@ class FlashWalker:
                 if in_part.any():
                     self._insert_pwb(
                         t,
-                        dense_walks.select(in_part),
+                        WalkBatch.of(
+                            dense_walks.select(in_part),
+                            pw_edge[in_part]
+                            + self.part.block_edge_lo[pw_block[in_part]],
+                        ),
                         pw_block[in_part],
-                        pre_edge=pw_edge[in_part]
-                        + self.part.block_edge_lo[pw_block[in_part]],
                     )
                 if (~in_part).any():
                     # Dense walk bound for another partition: store as a
@@ -831,45 +845,185 @@ class FlashWalker:
                     # uniform redraw).
                     self._store_foreigners(
                         t,
-                        dense_walks.select(~in_part),
-                        target_blocks=pw_block[~in_part],
+                        WalkBatch.of(dense_walks.select(~in_part)),
+                        target_blocks=pw_block[~in_part].tolist(),
                     )
         normal = WalkSet.concat(normal_parts)
         # 4. Foreigner detection for normal walks.
         inside = self.mapping.contains_vertices(normal.cur)
         if (~inside).any():
             foreign_walks = normal.select(~inside)
-            # Locating the destination partition costs a global range
-            # search (the coarse table spans the whole graph).
-            steps = binary_search_steps(
-                max(1, -(-self.part.num_blocks // self.cfg.range_subgraphs))
-            )
-            busy += (
-                len(foreign_walks)
-                * steps
-                * self.cfg.levels.board.guider_cycle
-                / self.cfg.levels.board.n_guiders
-            )
-            self._store_foreigners(t, foreign_walks, target_blocks=None)
+            busy += self._foreigner_search_time(len(foreign_walks))
+            self._store_foreigners(t, WalkBatch.of(foreign_walks), target_blocks=None)
             normal = normal.select(inside)
         # 5. Walk query for the rest + insert into the partition buffer.
         if len(normal):
-            blocks, _ = self.mapping.lookup(
-                normal.cur,
-                scope_entries=self.cfg.range_subgraphs
-                if (scoped and self.cfg.opt_walk_query)
-                else None,
-            )
-            qtime, hits, misses, steps_total = self.board.query_and_direct(
-                blocks, scoped and self.cfg.opt_walk_query
-            )
-            busy += qtime
-            m.queries.add(len(normal))
-            m.query_steps.add(steps_total)
-            m.cache_hits.add(hits)
-            m.cache_misses.add(misses)
-            self._insert_pwb(t, normal, blocks, pre_edge=None)
+            blocks, _ = self.mapping.lookup(normal.cur, scope_entries=self._scope(scoped))
+            busy += self._query(blocks, scoped)
+            self._insert_pwb(t, WalkBatch.of(normal), blocks)
         self._finish_board_batch(t, busy)
+
+    def _board_walks(self, walks: WalkBatch, scoped: bool) -> None:
+        """The board pass one walk at a time, for small batches.
+
+        :meth:`_board_batch` step for step: the same traced calls with
+        list arguments, the same RNG draws, counter updates, busy-time
+        additions and sink calls, in the same order.
+        """
+        t = self.sim.now
+        busy = 0.0
+        m = self.metrics
+        board = self.board
+        dt = self.dense_table
+        edge_lo = dt.block_edge_lo
+        hot_dense = self._hot_dense_set
+        first, last = self.mapping.first_block, self.mapping.last_block
+        offset = self.graph.offsets.item
+        edge = self.graph.edges.item
+        stop_p = self.spec.stop_probability
+        normal = WalkBatch.empty()
+        for _ in range(self.spec.length + 2):
+            if not walks.src:
+                break
+            # 1. Board-resident hot subgraphs.
+            if board.hot_block_set:
+                in_hot = self._in_hot_blocks(
+                    walks.cur, board.hot_block_set, self._board_hot
+                )
+                if True in in_hot:
+                    hot_walks, walks = walks.split(in_hot)
+                    res = advance_batch(
+                        self.ctx, hot_walks, board.hot_blocks, self.rngs.stream("board")
+                    )
+                    busy += board.batch_time(res)
+                    m.hops.add(res.hops)
+                    m.hot_hits_board.add(len(hot_walks))
+                    if res.n_completed:
+                        self._complete_walks(
+                            t, res.n_completed, sink="board", walks=res.completed
+                        )
+                    walks.extend(res.roving)
+            if not walks.src:
+                break
+            # 2. Dense-vertex classification.
+            probes_before = dt.hash_probes
+            is_dense = dt.classify(walks.cur)
+            busy += board.dense_check_time(len(walks), dt.hash_probes - probes_before)
+            dense_walks, plain = walks.split(is_dense)
+            normal.extend(plain)
+            walks = WalkBatch.empty()
+            if not dense_walks.src:
+                continue
+            # 3. Pre-walk.  Each walk then resolves at a hot dense vertex,
+            # waits in this partition's buffer with its pre-walked edge
+            # (counted from the vertex's first edge), or leaves as a
+            # foreigner.
+            pw = dt.pre_walk(dense_walks.cur, self.rngs.stream("prewalk"))
+            m.pre_walks.add(len(dense_walks))
+            hot_src, hot_nxt, hot_hop = [], [], []
+            mine, mine_blocks = WalkBatch([], [], [], []), []
+            away, away_blocks = WalkBatch.empty(), []
+            for s, v, h, b, e in zip(
+                dense_walks.src, dense_walks.cur, dense_walks.hop,
+                pw.block, pw.edge_offset,
+            ):
+                if v in hot_dense:
+                    hot_src.append(s)
+                    hot_nxt.append(edge(offset(v) + e + edge_lo[b]))
+                    hot_hop.append(h - 1)
+                elif first <= b <= last:
+                    mine.src.append(s)
+                    mine.cur.append(v)
+                    mine.hop.append(h)
+                    mine.pre_edge.append(e + edge_lo[b])
+                    mine_blocks.append(b)
+                else:
+                    away.src.append(s)
+                    away.cur.append(v)
+                    away.hop.append(h)
+                    away_blocks.append(b)
+            if hot_src:
+                # 3a. Hot dense vertices: the hop resolves right here.
+                n_hot = len(hot_src)
+                acc = self.cfg.levels.board
+                busy += n_hot * acc.updater_ops_per_hop * acc.updater_cycle / acc.n_updaters
+                m.hops.add(n_hot)
+                m.hot_hits_board.add(n_hot)
+                done = [h == 0 for h in hot_hop]
+                if stop_p > 0:
+                    draws = self.rngs.stream("board").random(n_hot).tolist()
+                    done = [d or r < stop_p for d, r in zip(done, draws)]
+                finished, survivors = WalkBatch(hot_src, hot_nxt, hot_hop).split(done)
+                if finished.src:
+                    self._complete_walks(
+                        t, len(finished), sink="board", walks=finished
+                    )
+                walks = survivors
+            if mine_blocks:
+                self._insert_pwb(t, mine, mine_blocks)
+            if away_blocks:
+                self._store_foreigners(t, away, target_blocks=away_blocks)
+        # 4. Foreigner detection for normal walks.
+        inside = self.mapping.contains_vertices(normal.cur)
+        if False in inside:
+            normal, foreign_walks = normal.split(inside)
+            busy += self._foreigner_search_time(len(foreign_walks))
+            self._store_foreigners(t, foreign_walks, target_blocks=None)
+        # 5. Walk query for the rest + insert into the partition buffer.
+        if normal.src:
+            blocks, _ = self.mapping.lookup(normal.cur, scope_entries=self._scope(scoped))
+            busy += self._query(blocks, scoped)
+            self._insert_pwb(t, normal, blocks)
+        self._finish_board_batch(t, busy)
+
+    def _in_hot_blocks(
+        self, cur: list[int], hot: frozenset[int], hot_sorted: np.ndarray
+    ) -> list[bool]:
+        """Per walk: is its vertex non-dense and in a hot block?  Walk by
+        walk below :data:`PER_WALK_CROSSOVER` walks, else vectorized.
+
+        A dense vertex's blocks hold no other vertex, so a non-dense
+        vertex's block is the last one starting at or before it.
+        """
+        if len(cur) < PER_WALK_CROSSOVER:
+            dense = self.part.dense_meta
+            block_lo = self.ctx.block_lo
+            return [
+                v not in dense and bisect_right(block_lo, v) - 1 in hot for v in cur
+            ]
+        v = np.array(cur, dtype=np.int64)
+        return (
+            in_sorted(hot_sorted, self.part.block_of_vertex(v))
+            & ~self.ctx.is_dense_vertex[v]
+        ).tolist()
+
+    def _foreigner_search_time(self, n: int) -> float:
+        """Board time to locate ``n`` foreigners' partitions: a global
+        range search (the coarse table spans the whole graph)."""
+        steps = binary_search_steps(
+            max(1, -(-self.part.num_blocks // self.cfg.range_subgraphs))
+        )
+        acc = self.cfg.levels.board
+        return n * steps * acc.guider_cycle / acc.n_guiders
+
+    def _scope(self, scoped: bool) -> int | None:
+        """Mapping-table entries a walk query searches (None: all)."""
+        if scoped and self.cfg.opt_walk_query:
+            return self.cfg.range_subgraphs
+        return None
+
+    def _query(self, blocks, scoped: bool) -> float:
+        """Walk queries for resolved ``blocks``: cache probes, search
+        steps and their counters; returns the board time."""
+        qtime, hits, misses, steps_total = self.board.query_and_direct(
+            blocks, scoped and self.cfg.opt_walk_query
+        )
+        m = self.metrics
+        m.queries.add(len(blocks))
+        m.query_steps.add(steps_total)
+        m.cache_hits.add(hits)
+        m.cache_misses.add(misses)
+        return qtime
 
     def _finish_board_batch(self, t: float, busy: float) -> None:
         m = self.metrics
@@ -896,11 +1050,7 @@ class FlashWalker:
         self._service_barriers(t)
 
     def _insert_pwb(
-        self,
-        t: float,
-        walks: WalkSet,
-        blocks: np.ndarray,
-        pre_edge: np.ndarray | None,
+        self, t: float, walks: WalkBatch, blocks: list[int] | np.ndarray
     ) -> None:
         """Insert directed walks into partition-walk-buffer entries."""
         n = len(walks)
@@ -911,9 +1061,7 @@ class FlashWalker:
         self.metrics.record_dram(t, nbytes)
         sc = self.scheduler
         # Per block, in ascending block ID: scoreboard, then any spill.
-        for block, count, spilled in self.pwb.push(
-            blocks, WalkBatch(walks, pre_edge)
-        ):
+        for block, count, spilled in self.pwb.push(blocks, walks):
             sc.add_buffered(block, count)
             if spilled:
                 sc.add_spilled(block, spilled)
@@ -951,21 +1099,34 @@ class FlashWalker:
         )
 
     def _store_foreigners(
-        self, t: float, walks: WalkSet, target_blocks: np.ndarray | None
+        self, t: float, walks: WalkBatch, target_blocks: list[int] | None
     ) -> None:
-        """Route walks beyond the current partition to the foreigner store."""
+        """Route walks beyond the current partition to the foreigner store,
+        one push per destination partition in ascending order.
+
+        ``target_blocks=None`` means each walk's own block: the walks are
+        then normal ones, and a non-dense vertex's block is the last one
+        starting at or before it.
+        """
         n = len(walks)
         if n == 0:
             return
         if target_blocks is None:
-            target_blocks = self.part.block_of_vertex(walks.cur)
-        pids = self.part.partition_of_block(
-            target_blocks, self.cfg.partition_subgraphs
-        )
+            block_lo = self.ctx.block_lo
+            target_blocks = [bisect_right(block_lo, v) - 1 for v in walks.cur]
+        per = self.cfg.partition_subgraphs
+        groups: dict[int, WalkBatch] = {}
+        for b, s, c, h in zip(target_blocks, walks.src, walks.cur, walks.hop):
+            g = groups.get(b // per)
+            if g is None:
+                groups[b // per] = WalkBatch([s], [c], [h])
+            else:
+                g.src.append(s)
+                g.cur.append(c)
+                g.hop.append(h)
         self.metrics.foreigner_walks.add(n)
-        for pid in np.unique(pids):
-            sel = pids == pid
-            self.foreign.push(int(pid), walks.select(sel))
+        for pid in sorted(groups):
+            self.foreign.push(pid, groups[pid])
         tr = self.tracer
         if tr is not None:
             tr.highwater("buf.foreigner_store_walks", self.foreign.total)
@@ -975,7 +1136,7 @@ class FlashWalker:
         self.in_transit -= n
 
     def _complete_walks(
-        self, t: float, n: int, sink: str, walks: WalkSet | None = None
+        self, t: float, n: int, sink: str, walks: WalkBatch | None = None
     ) -> None:
         """Account ``n`` walks finishing at time ``t``.
 
@@ -995,8 +1156,8 @@ class FlashWalker:
                 mx.gauge("durability_journal_pending_records").set(
                     j.pending_records, t
                 )
-        if self._finals is not None and walks is not None and len(walks):
-            self._finals.append(walks)
+        if self._finals is not None and walks is not None:
+            self._finals.extend(walks)
         if sink in ("board", "channel"):
             flush = self.board.add_completed(n)
             if flush:
@@ -1171,7 +1332,7 @@ class FlashWalker:
             # pre-walked edges are dropped (dense walks are re-pre-walked,
             # an identical uniform redraw).
             chip.busy = False
-            walks = batch.walks
+            walks = WalkBatch(batch.src, batch.cur, batch.hop)
             if len(walks):
                 self.metrics.walks_rerouted.add(len(walks))
                 tr = self.tracer
@@ -1262,7 +1423,7 @@ class FlashWalker:
         ch.collect_scheduled = False
         ch_hw = self.ssd.channel(channel_id)
         cpc = self.cfg.ssd.chips_per_channel
-        parts: list[WalkSet] = []
+        walks = WalkBatch.empty()
         t_arr = t
         for chip in self.chips[channel_id * cpc : (channel_id + 1) * cpc]:
             if chip.pending_rove_count == 0:
@@ -1272,22 +1433,21 @@ class FlashWalker:
             t_xfer = ch_hw.transfer_data(t, nbytes)
             t_arr = max(t_arr, t_xfer)
             self._record_bus(ch_hw.bus, t, nbytes, t_xfer)
-            parts.append(w)
-        walks = WalkSet.concat(parts)
+            walks.extend(w)
         if len(walks) == 0:
             return
         n_collected = len(walks)
         busy = 0.0
         # Hot-subgraph updates at the channel level.
         if self.cfg.opt_hot_subgraphs and ch.hot_blocks:
-            in_hot = in_sorted(
-                ch.hot_blocks_sorted, self.part.block_of_vertex(walks.cur)
-            ) & ~self.ctx.is_dense_vertex[walks.cur]
-            if in_hot.any():
+            in_hot = self._in_hot_blocks(
+                walks.cur, ch.hot_block_set, ch.hot_blocks_sorted
+            )
+            if True in in_hot:
                 hot_walks, walks = walks.split(in_hot)
                 res = advance_batch(
                     self.ctx,
-                    WalkBatch(hot_walks),
+                    hot_walks,
                     ch.hot_blocks,
                     self.rngs.stream(f"channel{channel_id}"),
                 )
@@ -1298,7 +1458,7 @@ class FlashWalker:
                     self._complete_walks(
                         t_arr, res.n_completed, sink="channel", walks=res.completed
                     )
-                walks = WalkSet.concat([walks, res.roving])
+                walks.extend(res.roving)
         # Approximate walk search tags the remainder.
         scoped = False
         if self.cfg.opt_walk_query and ch.range_table is not None and len(walks):

@@ -10,12 +10,15 @@ lands in, shrinking the board-level search scope by that factor.
 
 Semantically both searches are a ``searchsorted``; what matters for the
 simulation is the **step count** each query costs, which feeds the
-guider timing model.  Lookups are vectorized over walk batches.
+guider timing model.  Lookups are vectorized over walk batches; the
+subgraph mapping table also answers a list of vertices with a list, for
+the engine's per-walk board pass.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -54,6 +57,15 @@ class SubgraphMappingTable:
         self.hi = partitioning.block_hi[first_block : last_block + 1]
         self.vertex_lo = int(self.lo[0])
         self.vertex_hi = int(self.hi[-1])
+        # Plain-Python copies for list lookups: each entry's low vertex,
+        # and the global block a hit on each entry resolves to.
+        self._lo_list = self.lo.tolist()
+        first = partitioning._dense_first_block
+        self._block_list = (
+            list(range(first_block, last_block + 1))
+            if first is None
+            else first[first_block : last_block + 1].tolist()
+        )
         self.lookups = 0
         self.search_steps_total = 0
 
@@ -65,14 +77,17 @@ class SubgraphMappingTable:
         """Steps of an unrestricted binary search over this table."""
         return binary_search_steps(self.n_entries)
 
-    def contains_vertices(self, v: np.ndarray) -> np.ndarray:
+    def contains_vertices(self, v: np.ndarray | list[int]) -> np.ndarray | list[bool]:
         """Mask: vertex inside this partition's span (False = foreigner)."""
+        lo, hi = self.vertex_lo, self.vertex_hi
+        if isinstance(v, list):
+            return [lo <= x <= hi for x in v]
         v = np.asarray(v, dtype=np.int64)
-        return (v >= self.vertex_lo) & (v <= self.vertex_hi)
+        return (v >= lo) & (v <= hi)
 
     def lookup(
-        self, v: np.ndarray, scope_entries: int | None = None
-    ) -> tuple[np.ndarray, int]:
+        self, v: np.ndarray | list[int], scope_entries: int | None = None
+    ) -> tuple[np.ndarray | list[int], int]:
         """Resolve vertices to *global* block IDs.
 
         ``scope_entries`` narrows the modeled search scope (the
@@ -81,16 +96,26 @@ class SubgraphMappingTable:
         (block_ids, per-walk search step count).  Callers must ensure all
         ``v`` are within the partition (check :meth:`contains_vertices`).
         """
-        v = np.asarray(v, dtype=np.int64)
-        if v.size == 0:
-            return np.zeros(0, dtype=np.int64), 0
-        if (v < self.vertex_lo).any() or (v > self.vertex_hi).any():
-            raise ReproError("lookup of vertex outside partition span")
-        idx = np.searchsorted(self.lo, v, side="right") - 1
-        blocks = idx + self.first_block
-        first = self.partitioning._dense_first_block
-        if first is not None:
-            blocks = first[blocks]
+        if isinstance(v, list):
+            if not v:
+                return [], 0
+            if min(v) < self.vertex_lo or max(v) > self.vertex_hi:
+                raise ReproError("lookup of vertex outside partition span")
+            lo, block = self._lo_list, self._block_list
+            blocks = [block[bisect_right(lo, x) - 1] for x in v]
+            n = len(v)
+        else:
+            v = np.asarray(v, dtype=np.int64)
+            if v.size == 0:
+                return np.zeros(0, dtype=np.int64), 0
+            if (v < self.vertex_lo).any() or (v > self.vertex_hi).any():
+                raise ReproError("lookup of vertex outside partition span")
+            idx = np.searchsorted(self.lo, v, side="right") - 1
+            blocks = idx + self.first_block
+            first = self.partitioning._dense_first_block
+            if first is not None:
+                blocks = first[blocks]
+            n = v.size
         # Clamp the modeled scope to [1, n_entries]: a range tag can name
         # an empty scope (0 subgraphs beyond the first), but the guider
         # still performs at least one comparison to confirm the entry.
@@ -98,8 +123,8 @@ class SubgraphMappingTable:
             1, min(scope_entries, self.n_entries)
         )
         steps = binary_search_steps(scope)
-        self.lookups += v.size
-        self.search_steps_total += steps * v.size
+        self.lookups += n
+        self.search_steps_total += steps * n
         return blocks, steps
 
 

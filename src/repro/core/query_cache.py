@@ -110,10 +110,14 @@ class QueryCacheArray:
             raise ReproError(f"need >= 1 cache, got {n_caches}")
         self.caches = [WalkQueryCache(entries_per_cache) for _ in range(n_caches)]
 
-    def probe_batch(self, block_ids: np.ndarray) -> tuple[int, int]:
+    def probe_batch(self, block_ids: list[int] | np.ndarray) -> tuple[int, int]:
         """Probe each block, in arrival order, against its shard's cache;
         returns (hits, misses)."""
-        ids = np.asarray(block_ids, dtype=np.int64).tolist()
+        ids = (
+            block_ids
+            if isinstance(block_ids, list)
+            else np.asarray(block_ids, dtype=np.int64).tolist()
+        )
         caches = self.caches
         n_caches = len(caches)
         hits = 0

@@ -225,7 +225,7 @@ def capture_checkpoint(fw, t: float) -> Checkpoint:
         "finals": (
             None
             if fw._finals is None
-            else [_pack_walks(w) for w in fw._finals]
+            else (list(fw._finals.src), list(fw._finals.cur), list(fw._finals.hop))
         ),
         # stochastic state
         "rng": {
@@ -387,7 +387,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     """Rebuild ``fw``'s run state from ``ckpt``; the caller re-arms the
     event loop (kick chips + barrier check) and calls ``sim.run()``."""
     from ..core.advance import AdvanceContext
-    from ..core.buffers import BlockEntry, PartitionWalkBuffer
+    from ..core.buffers import BlockEntry, PartitionWalkBuffer, WalkBatch
     from ..core.mapping import RangeTable, SubgraphMappingTable
     from ..core.scheduler import SubgraphScheduler
     from ..obs.report import config_fingerprint
@@ -445,7 +445,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
     fw._finals = (
         None
         if d["finals"] is None
-        else [_unpack_walks(w) for w in d["finals"]]
+        else WalkBatch(*(list(f) for f in d["finals"]))
     )
     # advance context (deterministic rebuild from graph + spec)
     sampler = make_sampler(fw.graph)
@@ -543,8 +543,7 @@ def restore_checkpoint(fw, ckpt: Checkpoint) -> None:
         chip.loaded = list(cs["loaded"])
         chip.failed = cs["failed"]
         chip.busy = False
-        chip.pending_rove = []
-        chip.pending_rove_count = 0
+        chip.pending_rove = WalkBatch.empty()
         chip.pending_completed = cs["pending_completed"]
         chip.batches = cs["batches"]
         chip.hops = cs["hops"]

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import ConfigError, SimulationError
+from ..core.buffers import WalkBatch
 from ..core.metrics import RunResult
 from ..obs.alerts import default_service_rules
 from ..walks.spec import WalkSpec, start_vertices
@@ -539,7 +540,7 @@ class WalkQueryService:
 
     # ---------------------------------------------------------- completions
 
-    def _on_completed(self, t: float, walks: WalkSet) -> None:
+    def _on_completed(self, t: float, walks: WalkBatch) -> None:
         """Engine hook: credit finished walks back to their queries.
 
         ``t`` may lie slightly ahead of ``sim.now`` (chip batches charge
@@ -550,7 +551,7 @@ class WalkQueryService:
         if not len(walks):
             return
         # Credit, and answer, queries in ascending ID order.
-        for qid, n in sorted(Counter(walks.src.tolist()).items()):
+        for qid, n in sorted(Counter(walks.src).items()):
             st = self.states[qid]
             st.walks_done += n
             if st.responded:

@@ -6,6 +6,7 @@ import pytest
 from repro.common import FlashWalkerConfig, ReproError
 from repro.core import (
     AdvanceResult,
+    WalkBatch,
     BoardAccelerator,
     ChannelAccelerator,
     ChipAccelerator,
@@ -23,8 +24,8 @@ def chip(slots=4):
 
 def result(hops=10, guide_ops=20, completed=0, roving=0, bias=0):
     return AdvanceResult(
-        completed=WalkSet.start(np.arange(completed), 1) if completed else WalkSet.empty(),
-        roving=WalkSet.start(np.arange(roving), 1) if roving else WalkSet.empty(),
+        completed=WalkBatch.of(WalkSet.start(np.arange(completed), 1)),
+        roving=WalkBatch.of(WalkSet.start(np.arange(roving), 1)),
         hops=hops,
         guide_ops=guide_ops,
         bias_steps=bias,
@@ -62,18 +63,18 @@ class TestChipAccelerator:
 
     def test_roving_buffer(self):
         c = chip()
-        c.push_roving(WalkSet.start(np.arange(5), 3))
-        c.push_roving(WalkSet.start(np.arange(2), 3))
+        c.push_roving(WalkBatch.of(WalkSet.start(np.arange(5), 3)))
+        c.push_roving(WalkBatch.of(WalkSet.start(np.arange(2), 3)))
         assert c.pending_rove_count == 7
         out = c.take_roving()
-        assert len(out) == 7
+        assert out.src == [0, 1, 2, 3, 4, 0, 1]
         assert c.pending_rove_count == 0
 
     def test_roving_capacity_and_stall(self):
         c = chip()
         cap = c.roving_capacity_walks
         assert cap == c.cfg.roving_buffer_bytes // 12
-        c.push_roving(WalkSet.start(np.zeros(cap + 1, dtype=np.int64), 3))
+        c.push_roving(WalkBatch.of(WalkSet.start(np.zeros(cap + 1, dtype=np.int64), 3)))
         assert c.roving_overflow_stall(2e-6) > 0
         c.take_roving()
         assert c.roving_overflow_stall(2e-6) == 0.0

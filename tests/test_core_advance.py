@@ -1,4 +1,4 @@
-"""Tests for the vectorized walk-advancement kernel."""
+"""Tests for the walk-advancement kernels."""
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ class TestTermination:
     def test_all_complete_when_everything_loaded(self, rng):
         g = ring_graph(64)
         ctx, part = make_ctx(g)
-        batch = WalkBatch(WalkSet.start(np.arange(10), 4))
+        batch = WalkBatch.of(WalkSet.start(np.arange(10), 4))
         res = advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
         assert res.n_completed == 10
         assert len(res.roving) == 0
@@ -42,11 +42,11 @@ class TestTermination:
     def test_dead_ends_complete_early(self, rng):
         g = path_graph(4)
         ctx, part = make_ctx(g)
-        batch = WalkBatch(WalkSet.start(np.array([0, 3]), 10))
+        batch = WalkBatch.of(WalkSet.start(np.array([0, 3]), 10))
         res = advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
         assert res.n_completed == 2
         # walk from 0 ends at 3 (3 hops); walk from 3 is an instant dead end
-        finals = dict(zip(res.completed.src.tolist(), res.completed.cur.tolist()))
+        finals = dict(zip(res.completed.src, res.completed.cur))
         assert finals[0] == 3
         assert finals[3] == 3
 
@@ -54,16 +54,16 @@ class TestTermination:
         g = ring_graph(64)
         spec = WalkSpec(length=50, stop_probability=0.5)
         ctx, part = make_ctx(g, spec=spec)
-        batch = WalkBatch(WalkSet.start(np.zeros(500, dtype=np.int64), 50))
+        batch = WalkBatch.of(WalkSet.start(np.zeros(500, dtype=np.int64), 50))
         res = advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
         assert res.n_completed == 500
-        hops_taken = 50 - res.completed.hop
+        hops_taken = 50 - np.array(res.completed.hop)
         assert hops_taken.mean() < 5  # geometric with p=.5 -> mean ~2
 
     def test_empty_batch(self, rng):
         g = ring_graph(8)
         ctx, part = make_ctx(g)
-        res = advance_batch(ctx, WalkBatch(WalkSet.empty()), [0], rng)
+        res = advance_batch(ctx, WalkBatch.empty(), [0], rng)
         assert res.hops == 0
         assert res.n_completed == 0
 
@@ -73,7 +73,7 @@ class TestRoving:
         g = ring_graph(4000)  # spans multiple 4 KB blocks
         ctx, part = make_ctx(g)
         assert part.num_blocks >= 2
-        batch = WalkBatch(WalkSet.start(np.zeros(5, dtype=np.int64), 4000))
+        batch = WalkBatch.of(WalkSet.start(np.zeros(5, dtype=np.int64), 4000))
         res = advance_batch(ctx, batch, [0], rng)
         # Ring walks march off block 0's end and rove.
         assert len(res.roving) == 5
@@ -81,20 +81,20 @@ class TestRoving:
         first_foreign = part.block_hi[0] + 1
         np.testing.assert_array_equal(res.roving.cur, np.full(5, first_foreign))
         # Hops consumed so far are recorded in the walk state.
-        assert (res.roving.hop < 4000).all()
+        assert max(res.roving.hop) < 4000
 
     def test_walk_accounting_exact(self, rng, skewed_graph):
         ctx, part = make_ctx(skewed_graph)
         n = 300
-        batch = WalkBatch(WalkSet.start(np.arange(n), 6))
+        batch = WalkBatch.of(WalkSet.start(np.arange(n), 6))
         loaded = list(range(0, part.num_blocks, 3))
         res = advance_batch(ctx, batch, loaded, rng)
         assert res.n_completed + len(res.roving) == n
 
     def test_guide_ops_scale_with_loaded(self, rng, skewed_graph):
         ctx, part = make_ctx(skewed_graph)
-        batch1 = WalkBatch(WalkSet.start(np.arange(100), 6))
-        batch2 = WalkBatch(WalkSet.start(np.arange(100), 6))
+        batch1 = WalkBatch.of(WalkSet.start(np.arange(100), 6))
+        batch2 = WalkBatch.of(WalkSet.start(np.arange(100), 6))
         few = advance_batch(ctx, batch1, [0], rng)
         many = advance_batch(ctx, batch2, list(range(8)), rng)
         assert many.guide_ops >= few.guide_ops
@@ -105,7 +105,7 @@ class TestRoving:
         g = star_graph(5000)
         ctx, part = make_ctx(g)
         leaf_block = part.block_of_vertex(1)
-        batch = WalkBatch(WalkSet.start(np.array([1, 2, 3]), 6))
+        batch = WalkBatch.of(WalkSet.start(np.array([1, 2, 3]), 6))
         res = advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
         # all walks moved leaf -> hub and stopped there as roving
         assert len(res.roving) == 3
@@ -119,7 +119,7 @@ class TestPreWalkedResolution:
         meta = part.dense_meta[0]
         # Walk at the hub, pre-walked to edge index 42 -> leaf 43.
         ws = WalkSet(np.array([0]), np.array([0]), np.array([3]))
-        batch = WalkBatch(ws, np.array([42]))
+        batch = WalkBatch.of(ws, np.array([42]))
         res = advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
         # The hop resolves to leaf 43 (neighbors are 1..5000 in order),
         # then the walk continues leaf -> hub -> roves (hub is dense).
@@ -129,7 +129,7 @@ class TestPreWalkedResolution:
         g = star_graph(3000)
         ctx, part = make_ctx(g)
         ws = WalkSet(np.array([0]), np.array([0]), np.array([1]))
-        batch = WalkBatch(ws, np.array([7]))
+        batch = WalkBatch.of(ws, np.array([7]))
         res = advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
         assert res.n_completed == 1
         assert res.completed.cur[0] == g.neighbors(0)[7]
@@ -138,7 +138,7 @@ class TestPreWalkedResolution:
         g = star_graph(3000)
         ctx, part = make_ctx(g)
         ws = WalkSet(np.array([0]), np.array([0]), np.array([1]))
-        batch = WalkBatch(ws, np.array([10**9]))
+        batch = WalkBatch.of(ws, np.array([10**9]))
         with pytest.raises(ReproError):
             advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
 
@@ -151,13 +151,13 @@ class TestBiased:
         part = partition_graph(g, 4096)
         spec = WalkSpec(length=4, biased=True)
         ctx = AdvanceContext.build(g, part, spec, make_sampler(g))
-        batch = WalkBatch(WalkSet.start(np.arange(50), 4))
+        batch = WalkBatch.of(WalkSet.start(np.arange(50), 4))
         res = advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
         assert res.bias_steps > 0
 
     def test_unbiased_has_no_bias_steps(self, rng, small_graph):
         ctx, part = make_ctx(small_graph)
-        batch = WalkBatch(WalkSet.start(np.arange(50), 4))
+        batch = WalkBatch.of(WalkSet.start(np.arange(50), 4))
         res = advance_batch(ctx, batch, list(range(part.num_blocks)), rng)
         assert res.bias_steps == 0
 
@@ -188,7 +188,7 @@ class TestKernelsAgree:
         degs = g.out_degree(cur)
         pick = at_dense & (rng.random(n) < 0.5)
         pre[pick] = (rng.random(int(pick.sum())) * degs[pick]).astype(np.int64)
-        return WalkBatch(walks, pre if pick.any() else None)
+        return WalkBatch.of(walks, pre if pick.any() else None)
 
     @pytest.mark.parametrize("stop_probability", [0.0, 0.3])
     @pytest.mark.parametrize("case", range(12))
@@ -210,10 +210,10 @@ class TestKernelsAgree:
             b = advance_vectorized(ctx, batch, loaded, rng_b)
             for got, want in ((a.completed, b.completed), (a.roving, b.roving)):
                 for field in ("src", "cur", "hop"):
-                    np.testing.assert_array_equal(
-                        getattr(got, field), getattr(want, field)
-                    )
-                    assert getattr(got, field).dtype == np.int64
+                    assert getattr(got, field) == getattr(want, field)
+                    assert all(type(x) is int for x in getattr(got, field))
+                    assert all(type(x) is int for x in getattr(want, field))
+                assert got.pre_edge is None and want.pre_edge is None
             assert (a.hops, a.guide_ops, a.bias_steps) == (
                 b.hops,
                 b.guide_ops,
@@ -226,7 +226,7 @@ class TestKernelsAgree:
         ctx = AdvanceContext.build(graph, part, WalkSpec(length=4), make_sampler(graph))
         v = int(next(iter(part.dense_meta)))
         walks = WalkSet(np.array([0, 1]), np.array([5, v]), np.array([4, 4]))
-        batch = WalkBatch(walks, np.array([-1, graph.out_degree(v)]))
+        batch = WalkBatch.of(walks, np.array([-1, graph.out_degree(v)]))
         for kernel in (advance_per_walk, advance_vectorized):
             rng = np.random.default_rng(0)
             before = rng.bit_generator.state
@@ -243,7 +243,7 @@ class TestKernelsAgree:
         part = partition_graph(g, 4096)
         ctx = AdvanceContext.build(g, part, WalkSpec(length=4), make_sampler(g))
         assert not ctx.uniform
-        batch = WalkBatch(WalkSet.start(np.arange(8), 4))
+        batch = WalkBatch.of(WalkSet.start(np.arange(8), 4))
         loaded = list(range(part.num_blocks))
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
         a = advance_batch(ctx, batch, loaded, rng_a)

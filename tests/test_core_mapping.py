@@ -156,3 +156,34 @@ class TestRangeTable:
     def test_rejects_bad_range_size(self, part):
         with pytest.raises(ReproError):
             RangeTable(part, 0, part.num_blocks - 1, 0)
+
+
+class TestListForms:
+    """Lists in, lists out: the same answers, steps and counters as the
+    array forms (the engine's per-walk board pass uses these)."""
+
+    def test_contains_and_lookup_match_arrays(self, part, rng):
+        mid = part.num_blocks // 2
+        tables = [SubgraphMappingTable(part, 1, mid) for _ in range(2)]
+        lo, hi = tables[0].vertex_lo, tables[0].vertex_hi
+        v = rng.integers(0, part.graph.num_vertices, size=200)
+        inside = tables[0].contains_vertices(v.tolist())
+        assert inside == tables[1].contains_vertices(v).tolist()
+        v_in = v[(v >= lo) & (v <= hi)]
+        dense = [x for x in part.dense_meta if lo <= x <= hi]
+        v_in = np.concatenate([v_in, np.asarray(dense, dtype=np.int64)])
+        for scope in (None, 2):
+            got, steps = tables[0].lookup(v_in.tolist(), scope_entries=scope)
+            want, want_steps = tables[1].lookup(v_in, scope_entries=scope)
+            assert got == want.tolist() and steps == want_steps
+        assert (tables[0].lookups, tables[0].search_steps_total) == (
+            tables[1].lookups, tables[1].search_steps_total
+        )
+
+    def test_empty_and_outside(self, part):
+        table = SubgraphMappingTable(part, 1, part.num_blocks - 1)
+        assert table.lookup([]) == ([], 0)
+        assert table.contains_vertices([]) == []
+        with pytest.raises(ReproError):
+            table.lookup([table.vertex_lo - 1])
+        assert table.lookups == 0

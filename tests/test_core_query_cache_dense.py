@@ -299,3 +299,65 @@ class TestDenseVertexTable:
         t = DenseVertexTable(dense_part, bits_per_item=2)
         t.classify(rng.integers(1, 5000, size=2000))
         assert 0.0 <= t.measured_fpr <= 1.0
+
+
+class TestListForms:
+    """The per-walk board pass hands these calls lists: each answers with
+    a list equal to its array answer, with the same counters and draws."""
+
+    @given(batches=st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(0, 4999)), max_size=40),
+        min_size=1, max_size=6,
+    ))
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_classify_list_matches_array(self, dense_part, batches):
+        a = DenseVertexTable(dense_part, bits_per_item=2)
+        b = DenseVertexTable(dense_part, bits_per_item=2)
+        for batch in batches:
+            got = a.classify(list(batch))
+            assert isinstance(got, list)
+            assert got == b.classify(np.asarray(batch, dtype=np.int64)).tolist()
+            assert counters(a) == counters(b)
+
+    def test_classify_list_rejects_vertex_outside_graph(self, dense_part):
+        t = DenseVertexTable(dense_part)
+        for bad in (-1, dense_part.graph.num_vertices):
+            with pytest.raises(ReproError):
+                t.classify([3, bad])
+        assert counters(t) == (0, 0, 0, 0)
+
+    def test_pre_walk_list_matches_array(self):
+        from repro.graph import powerlaw_graph
+
+        g = powerlaw_graph(2000, 60_000, np.random.default_rng(5), exponent=0.9)
+        part = partition_graph(g, 4096)
+        assert len(part.dense_meta) > 1
+        t = DenseVertexTable(part)
+        dense = sorted(part.dense_meta)
+        gen = np.random.default_rng(1)
+        for n in (0, 1, 7, 50):
+            v = gen.choice(dense, size=n).tolist()
+            rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+            got = t.pre_walk(v, rng_a)
+            want = t.pre_walk(np.asarray(v, dtype=np.int64), rng_b)
+            assert got.block == want.block.tolist()
+            assert got.edge_offset == want.edge_offset.tolist()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_pre_walk_list_rejects_non_dense_before_drawing(self, dense_part):
+        t = DenseVertexTable(dense_part)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ReproError):
+            t.pre_walk([0, 1], rng)
+        assert rng.bit_generator.state == before
+
+    def test_probe_batch_list_matches_array(self, rng):
+        a, b = QueryCacheArray(4, 3), QueryCacheArray(4, 3)
+        for _ in range(20):
+            ids = rng.integers(0, 30, size=int(rng.integers(0, 12)))
+            assert a.probe_batch(ids.tolist()) == b.probe_batch(ids)
+        assert [c.entries() for c in a.caches] == [c.entries() for c in b.caches]

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.core import PartitionWalkBuffer, SubgraphScheduler, WalkBatch
 from repro.core.buffers import BlockEntry
-from repro.walks import WalkSet
 
 from .test_core_buffers import push_entry
 
@@ -25,16 +24,15 @@ from .test_core_buffers import push_entry
 
 def ref_merge(batches):
     batches = [b for b in batches if len(b)]
-    if not batches:
-        return WalkBatch(WalkSet.empty(), np.zeros(0, dtype=np.int64))
-    walks = WalkSet.concat([b.walks for b in batches])
+    fields = [[x for b in batches for x in getattr(b, f)] for f in ("src", "cur", "hop")]
     if all(b.pre_edge is None for b in batches):
-        return WalkBatch(walks, None)
-    parts = [
-        b.pre_edge if b.pre_edge is not None else np.full(len(b), -1, np.int64)
+        return WalkBatch(*fields)
+    pre = [
+        x
         for b in batches
+        for x in (b.pre_edge if b.pre_edge is not None else [-1] * len(b))
     ]
-    return WalkBatch(walks, np.concatenate(parts))
+    return WalkBatch(*fields, pre)
 
 
 class RefEntry:
@@ -74,8 +72,8 @@ class RefBuffer:
     def push(self, blocks, batch):
         order = np.argsort(blocks, kind="stable")
         sblocks = blocks[order]
-        swalks = batch.walks.select(order)
-        spre = None if batch.pre_edge is None else batch.pre_edge[order]
+        sfields = [[getattr(batch, f)[i] for i in order] for f in ("src", "cur", "hop")]
+        spre = None if batch.pre_edge is None else [batch.pre_edge[i] for i in order]
         bounds = np.flatnonzero(np.diff(sblocks)) + 1
         out = []
         for s, e in zip(
@@ -84,7 +82,7 @@ class RefBuffer:
             block = int(sblocks[s])
             entry = self.entries.setdefault(block, RefEntry())
             entry.push(WalkBatch(
-                swalks.select(np.arange(s, e)),
+                *(f[s:e] for f in sfields),
                 None if spre is None else spre[s:e],
             ))
             spilled = entry.spill_overflow(self.caps[block])
@@ -97,7 +95,7 @@ class RefBuffer:
     def drain(self, block):
         e = self.entries.pop(block, None)
         if e is None:
-            return WalkBatch(WalkSet.empty()), 0, 0
+            return WalkBatch.empty(), 0, 0
         return e.drain()
 
 
@@ -105,29 +103,21 @@ def assert_same_drain(got, want):
     (gb, gnb, gns), (wb, wnb, wns) = got, want
     assert (gnb, gns) == (wnb, wns)
     if gnb + gns == 0:
-        # The one intended difference: an entry drained empty reports no
-        # pre-walked edges (None); the reference merge returned an empty
-        # array.  Non-empty drains must agree on None-ness exactly.
         assert len(gb) == len(wb) == 0 and gb.pre_edge is None
         return
-    for field in ("src", "cur", "hop"):
-        g, w = getattr(gb.walks, field), getattr(wb.walks, field)
-        assert g.dtype == w.dtype == np.int64
-        np.testing.assert_array_equal(g, w)
-    assert (gb.pre_edge is None) == (wb.pre_edge is None)
-    if wb.pre_edge is not None:
-        assert gb.pre_edge.dtype == wb.pre_edge.dtype
-        np.testing.assert_array_equal(gb.pre_edge, wb.pre_edge)
+    for field in ("src", "cur", "hop", "pre_edge"):
+        g, w = getattr(gb, field), getattr(wb, field)
+        assert g == w
+        assert g is None or all(type(x) is int for x in g)
 
 
 def draw_batch(data, n, with_pre):
-    src = np.asarray(data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)))
-    hop = np.asarray(data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)))
-    walks = WalkSet(src, src + 7, hop)
+    src = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    hop = data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
     pre = None
     if with_pre:
-        pre = np.asarray(data.draw(st.lists(st.integers(0, 500), min_size=n, max_size=n)))
-    return WalkBatch(walks, pre)
+        pre = data.draw(st.lists(st.integers(0, 500), min_size=n, max_size=n))
+    return WalkBatch(src, [s + 7 for s in src], hop, pre)
 
 
 class TestBufferMatchesReference:

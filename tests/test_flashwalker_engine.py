@@ -251,3 +251,191 @@ class TestBoundaryValidation:
             fw.inject_walks(walks)
         assert fw.sim.pending_events == pending
         assert fw.total_walks == 0
+
+
+class TestBoardPathGolden:
+    """A board-heavy run must replay its recorded report and finals.
+
+    The benchmark workloads rarely pre-walk and never resolve a walk at
+    a hot dense vertex under a stop probability.  This run does all of
+    it: a symmetric power-law graph puts walks on dense vertices often,
+    a third of the starts sit on dense vertices, two of them are
+    board-hot, five partitions make foreigners (plain and pre-walked),
+    and ``stop_probability`` draws on the board stream.  Both the
+    vectorized board pass (the start batch) and the per-walk one (small
+    collected batches) run.  The finals digest pins completion order.
+    """
+
+    REPORT_SHA = "86a9dbbb209fa82c083768383a87c372ffb21167e3ca761ca72c33badb721393"
+    FINALS_SHA = "ffacc6f73ffbacd25dd552a135257d78abcb10c0a743be89982c6356480d5e3e"
+
+    def test_report_and_finals_match_golden(self):
+        import hashlib
+        import json
+
+        from repro.graph import CSRGraph
+
+        g0 = powerlaw_graph(2000, 30_000, np.random.default_rng(3), exponent=0.9)
+        src, dst = g0.to_edge_list()
+        graph = CSRGraph.from_edge_list(
+            np.concatenate([src, dst]), np.concatenate([dst, src]), num_vertices=2000
+        )
+        cfg = FlashWalkerConfig().replace(
+            partition_subgraphs=16,
+            board_hot_subgraphs=2,
+            channel_hot_subgraphs=1,
+            board_hot_dense_vertices=2,
+        )
+        fw = FlashWalker(graph, cfg, seed=11)
+        assert fw.n_partitions > 1 and fw._hot_dense_verts.size == 2
+        gen = np.random.default_rng(8)
+        dense = np.array(sorted(fw.part.dense_meta))
+        starts = np.concatenate(
+            [gen.integers(0, graph.num_vertices, 2000), gen.choice(dense, 1000)]
+        )
+        gen.shuffle(starts)
+        res = fw.run(
+            starts=starts,
+            spec=WalkSpec(length=8, stop_probability=0.3),
+            record_finals=True,
+        )
+        c = res.counters
+        assert c["pre_walks"] > 0 and c["foreigner_walks"] > 0
+        assert c["finals_recorded"] == 3000
+        blob = json.dumps(res.to_report(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.REPORT_SHA
+        h = hashlib.sha256()
+        for field in (res.finals.src, res.finals.cur, res.finals.hop):
+            h.update(np.ascontiguousarray(field, dtype=np.int64).tobytes())
+        assert h.hexdigest() == self.FINALS_SHA
+
+
+class TestBoardPassesAgree:
+    """The per-walk board pass is a host-time twin of the vectorized one.
+
+    Two engines get the same small batches; one runs every board pass
+    (and channel hot-block test) vectorized.  After each batch and each
+    stretch of simulated time, every piece of state either pass touches
+    must be equal, down to the RNG streams.
+    """
+
+    CFG = FlashWalkerConfig().replace(
+        partition_subgraphs=16,
+        board_hot_subgraphs=2,
+        channel_hot_subgraphs=1,
+        board_hot_dense_vertices=2,
+    )
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        from repro.graph import CSRGraph
+
+        g0 = powerlaw_graph(2000, 30_000, np.random.default_rng(3), exponent=0.9)
+        src, dst = g0.to_edge_list()
+        return CSRGraph.from_edge_list(
+            np.concatenate([src, dst]), np.concatenate([dst, src]), num_vertices=2000
+        )
+
+    @staticmethod
+    def state(fw, log):
+        sc = fw.scheduler
+        caches = fw.board.caches.caches if fw.board.caches is not None else []
+        return {
+            "pwb": {
+                b: tuple(
+                    x.tolist() if isinstance(x, np.ndarray) else x for x in e.state()
+                )
+                for b, e in sorted(fw.pwb._entries.items())
+            },
+            "sched": (
+                sc.walk_counts()[0].tolist(),
+                sc.walk_counts()[1].tolist(),
+                sc.consistency_errors(fw.pwb),
+            ),
+            "foreign": [
+                [(w.src.tolist(), w.cur.tolist(), w.hop.tolist()) for w in pool]
+                for pool in fw.foreign._pools
+            ],
+            "dense": (
+                fw.dense_table.bloom_queries,
+                fw.dense_table.bloom_positives,
+                fw.dense_table.false_positives,
+                fw.dense_table.hash_probes,
+            ),
+            "mapping": (fw.mapping.lookups, fw.mapping.search_steps_total),
+            "caches": [(c.entries(), c.hits, c.misses) for c in caches],
+            "metrics": {
+                n: (c.total, c.events) for n, c in fw.metrics.stats.counters.items()
+            },
+            "pipe": list(fw._board_pipe._free_at),
+            "walks": (fw.total_walks, fw.completed_walks, fw.in_transit),
+            "completed": list(log),
+            "rng": {n: g.bit_generator.state for n, g in fw.rngs._streams.items()},
+        }
+
+    @staticmethod
+    def batches(fw, graph, gen, n_batches):
+        """Small batches mixing uniform starts, dense and hot-dense
+        vertices, and vertices of board-hot blocks."""
+        from repro.core.advance import PER_WALK_CROSSOVER
+
+        part = fw.part
+        dense = np.array(sorted(part.dense_meta))
+        hot_dense = fw._hot_dense_verts
+        hot = np.concatenate([
+            np.arange(part.block_lo[b], part.block_hi[b] + 1)
+            for b in fw.board.hot_blocks
+        ])
+        pools = [np.arange(graph.num_vertices), dense, hot_dense, hot]
+        next_id = 0
+        for _ in range(n_batches):
+            n = int(gen.integers(1, PER_WALK_CROSSOVER))
+            kind = gen.integers(0, len(pools), size=n)
+            cur = [int(gen.choice(pools[k])) for k in kind.tolist()]
+            hop = gen.integers(1, 9, size=n).tolist()
+            yield list(range(next_id, next_id + n)), cur, hop
+            next_id += n
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("stop_probability", [0.0, 0.3])
+    def test_same_state_calls_and_draws(
+        self, graph, stop_probability, scoped, monkeypatch
+    ):
+        import repro.core.flashwalker as engine_module
+        from repro.core import WalkBatch
+
+        spec = WalkSpec(length=8, stop_probability=stop_probability)
+        engines = [FlashWalker(graph, self.CFG, seed=3) for _ in range(2)]
+        logs = [[], []]
+        for fw, log in zip(engines, logs):
+            fw.start_session(spec, expected_walks=2000)
+            fw._on_completed = lambda t, w, log=log: log.append(
+                (t, list(w.src), list(w.cur), list(w.hop))
+            )
+
+        def on_both(action):
+            for i, fw in enumerate(engines):
+                with monkeypatch.context() as mp:
+                    if i:
+                        mp.setattr(engine_module, "PER_WALK_CROSSOVER", 0)
+                    action(fw)
+            assert self.state(engines[0], logs[0]) == self.state(engines[1], logs[1])
+
+        gen = np.random.default_rng([7, int(scoped), int(stop_probability * 10)])
+        for _ in range(6):
+            for src, cur, hop in self.batches(engines[0], graph, gen, 3):
+                def board(fw, src=src, cur=cur, hop=hop):
+                    fw.total_walks += len(src)
+                    fw.in_transit += len(src)
+                    fw._board_direct(
+                        WalkBatch(list(src), list(cur), list(hop)), scoped=scoped
+                    )
+
+                on_both(board)
+            on_both(lambda fw: fw.sim.run(until=fw.sim.now + 5e-6))
+        on_both(lambda fw: fw.sim.run())
+        reports = [fw._finalize_run().to_report() for fw in engines]
+        assert reports[0] == reports[1]
+        assert reports[0]["counters"]["pre_walks"] > 0
+        assert reports[0]["counters"]["foreigner_walks"] > 0
+        assert reports[0]["counters"]["hot_subgraph_hits_board"] > 0

@@ -130,7 +130,7 @@ class TestBufferProperties:
         e = BlockEntry()
         total = 0
         for size in batch_sizes:
-            push_entry(e, WalkBatch(WalkSet.start(np.arange(size), 6)))
+            push_entry(e, WalkBatch.of(WalkSet.start(np.arange(size), 6)))
             e.spill_overflow(capacity)
             total += size
         assert e.total == total
