@@ -79,8 +79,9 @@ class AdvanceContext:
     spec: WalkSpec
     sampler: object  # (cur, rng) -> next vertices, -1 at dead ends
     is_dense_vertex: np.ndarray  # bool per vertex
-    #: Each block's first vertex as Python ints (O(blocks)), the
-    #: per-walk kernel's copy of the mapping table.
+    #: Each block's first vertex as Python ints (O(blocks)): the copy of
+    #: the mapping table that per-walk code bisects for a non-dense
+    #: vertex's block.
     block_lo: list[int]
 
     @classmethod
