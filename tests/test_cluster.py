@@ -465,6 +465,46 @@ class TestClusterService:
 # ------------------------------------------------------ elastic placement
 
 
+class TestClusterReportGolden:
+    """Cross-commit cluster report digests (responses ride inside the
+    report)."""
+
+    PLAIN_SHA = (
+        "8ff0c55f2e4aab89fef8bce881f190f99dc2c73f3f6b2ab450767bda7b347bbd"
+    )
+    TELEMETRY_SHA = (
+        "b57ee70655b024165ced098944708ba2f8dfbbf2347bf097f0ccb5da27fdff03"
+    )
+
+    @staticmethod
+    def digest(report):
+        import hashlib
+
+        blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_plain_three_shard_report_matches_golden(self, graph):
+        _, out = run_cluster(graph)
+        assert out.report["n_shards"] == 3
+        assert self.digest(out.report) == self.PLAIN_SHA
+
+    def test_shed_timeout_telemetry_report_matches_golden(self, graph):
+        reqs = [
+            QueryRequest(query_id=i, arrival=i * 10e-6, num_walks=16,
+                         length=6, deadline=60e-6 if i % 3 == 1 else 50e-3)
+            for i in range(12)
+        ]
+        _, out = run_cluster(
+            graph,
+            cluster_cfg(telemetry_enabled=True, queue_capacity=6,
+                        max_inflight_walks_per_shard=16),
+            reqs=reqs,
+        )
+        s = out.report["service"]["requests"]
+        assert s["ok"] > 0 and s["timed_out"] > 0 and s["shed"] > 0
+        assert self.digest(out.report) == self.TELEMETRY_SHA
+
+
 class TestElasticPlacement:
     def test_range_slot_near_int64_overflow_boundary(self):
         # The legacy formula (v * n_shards) // n_vertices overflowed in
