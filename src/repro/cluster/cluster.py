@@ -38,6 +38,7 @@ from ..common.errors import ConfigError, SimulationError
 from ..common.rng import derive_seed
 from ..obs.alerts import default_cluster_rules
 from ..obs.metrics import MetricsRegistry
+from ..service.ledger import QueryLedger, QueryState
 from ..service.queue import AdmissionQueue
 from ..service.request import QueryRequest, QueryResult
 from ..walks.spec import start_vertices
@@ -84,21 +85,6 @@ class _Walk:
         #: (None outside the lease — the duplicate-suppression audit
         #: checks exactly that at every barrier).
         self.hedge_shard = None
-
-
-@dataclass
-class _QueryState:
-    req: QueryRequest
-    t_arrival: float
-    deadline_abs: float
-    walks_done: int = 0
-    admitted: bool = False
-    injected: bool = False
-    responded: bool = False
-    #: Remaining per-query retry budget (link retransmits + hedges
-    #: charged against it); None = unlimited (budget knob off).
-    retry_budget: int | None = None
-    budget_exhausted: bool = False
 
 
 @dataclass
@@ -159,17 +145,15 @@ class ClusterService:
         )
         # -- run state (the auditor reads these) ---------------------------
         self.walks: dict[int, _Walk] = {}
-        self.states: dict[int, _QueryState] = {}
-        self.responses: list[QueryResult] = []
+        # Link retransmits and hedges are charged to the query budget.
+        self.ledger = QueryLedger(
+            "cluster", lambda: self.telemetry,
+            retry_budget=self.ccfg.query_retry_budget,
+        )
         self.now = 0.0
         self.epoch = 0
-        self.arrivals = 0
-        self.ok_count = 0
-        self.timed_out_count = 0
-        self.shed_count = 0
         self.walks_created = 0
         self.walks_done = 0
-        self.zombie_walks = 0
         self.deferrals = 0
         self.walks_sacrificed = 0
         self.engine_totals = [0] * n
@@ -191,7 +175,6 @@ class ClusterService:
         self.hedge_wasted_segments = 0
         self.hedges_deferred = 0
         self.segments_committed = 0
-        self.retry_budget_exhausted = 0
         self.ramp_epochs = 0
         if self.ccfg.brownout_enabled:
             from ..service.brownout import BrownoutController
@@ -225,20 +208,7 @@ class ClusterService:
 
     def run(self, requests: list[QueryRequest]) -> ClusterOutcome:
         """Serve ``requests`` to completion across the cluster."""
-        if not requests:
-            raise ConfigError("no requests to serve")
-        seen: set[int] = set()
-        for req in requests:
-            req.validate()
-            if req.query_id in seen:
-                raise ConfigError(f"duplicate query_id {req.query_id}")
-            seen.add(req.query_id)
-            if req.length > self.ccfg.max_walk_length:
-                raise ConfigError(
-                    f"query {req.query_id}: length {req.length} exceeds "
-                    f"max_walk_length {self.ccfg.max_walk_length}"
-                )
-        ordered = sorted(requests, key=lambda r: (r.arrival, r.query_id))
+        ordered = QueryLedger.validated(requests, self.ccfg.max_walk_length)
         n = self.ccfg.n_shards
         self._expected_walks = sum(r.num_walks for r in ordered) // n + 1
         self._shard_mcfg = (
@@ -260,7 +230,9 @@ class ClusterService:
         report = self._build_report(
             [shard_reports[i] for i in range(self.n_phys)], jobs=hosts.jobs
         )
-        return ClusterOutcome(report=report, responses=list(self.responses))
+        return ClusterOutcome(
+            report=report, responses=list(self.ledger.responses)
+        )
 
     def _shard_params(self, shard_id: int) -> dict:
         """Runtime-construction params for one physical shard (also the
@@ -485,22 +457,10 @@ class ClusterService:
     # ------------------------------------------------------------ admission
 
     def _arrive(self, req: QueryRequest, t: float) -> None:
-        self.arrivals += 1
-        mx = self.telemetry
-        if mx is not None:
-            mx.counter("cluster_arrivals").inc(1.0, t)
-        st = _QueryState(req=req, t_arrival=t, deadline_abs=t + req.deadline)
-        if self.ccfg.query_retry_budget > 0:
-            st.retry_budget = self.ccfg.query_retry_budget
-        self.states[req.query_id] = st
-        admitted, evicted, refusal = self.queue.offer(req, t)
-        if evicted is not None:
-            ev = self.states[evicted.query_id]
-            self._respond(ev, "shed", t, shed_reason="shed-oldest")
-        if not admitted:
-            self._respond(st, "shed", t, shed_reason=refusal)
+        st = self.ledger.open(req, t)
+        if not self.ledger.offer(st, self.queue, t):
             return
-        st.admitted = True
+        mx = self.telemetry
         if mx is not None:
             mx.gauge("cluster_queue_depth").set(float(len(self.queue)), t)
 
@@ -538,12 +498,8 @@ class ClusterService:
         if self.ccfg.resize_admission_ramp or self.brownout is not None:
             self.queue.rate_factor = rate_factor
         inflight = self.walks_created - self.walks_done
-        while len(self.queue):
-            head = self.queue.peek()
-            st = self.states[head.query_id]
-            if st.responded:
-                self.queue.pop()
-                continue
+        while (st := self.ledger.next_queued(self.queue)) is not None:
+            head = st.req
             if healthy == 0 or inflight + head.num_walks > capacity:
                 self.deferrals += 1
                 break
@@ -554,7 +510,7 @@ class ClusterService:
         if mx is not None:
             mx.gauge("cluster_queue_depth").set(float(len(self.queue)), T)
 
-    def _create_walks(self, st: _QueryState, T: float) -> None:
+    def _create_walks(self, st: QueryState, T: float) -> None:
         req = st.req
         if req.starts is not None:
             starts = np.asarray(req.starts, dtype=np.int64)
@@ -641,14 +597,11 @@ class ClusterService:
             key=lambda w: (w.eligible_at, w.wid),
         )
         for w in eligible:
-            if dead_prop and self.states[w.query_id].responded:
+            if dead_prop and self.ledger.states[w.query_id].responded:
                 # The deadline already passed (or the query was shed):
                 # stepping this walk can no longer change any answer, so
                 # sacrifice it instead of burning shard time on it.
-                w.state = "done"
-                self.walks_done += 1
-                self.walks_sacrificed += 1
-                self._credit(w, T, sacrificed=True)
+                self._finish(w, T, sacrificed=True)
                 continue
             host = self._route(w.shard, open_now)
             if host is None or budget[host] <= 0:
@@ -698,7 +651,7 @@ class ClusterService:
         the lease proceeds unhedged so the walk still makes progress.
         """
         ccfg = self.ccfg
-        st = self.states[w.query_id]
+        st = self.ledger.states[w.query_id]
         if ccfg.deadline_propagation and (
             w.eligible_at + ccfg.hedge_delay > st.deadline_abs
         ):
@@ -706,7 +659,7 @@ class ClusterService:
             self.hedges_deferred += 1
             return "bare", None
         if st.retry_budget is not None and st.retry_budget <= 0:
-            self._note_budget_exhausted(st)
+            self.ledger.exhaust_budget(st, self.now)
             self.hedges_deferred += 1
             return "bare", None
         hedge = self._hedge_target(w, host, open_now, suspects)
@@ -724,12 +677,12 @@ class ClusterService:
         successor.  The duplicate boards ``hedge_delay`` after the
         primary; the barrier commits whichever completion lands first
         and discards the other (exactly-one-commit, audited)."""
-        st = self.states[w.query_id]
+        st = self.ledger.states[w.query_id]
         budget[hedge] -= 1
         if st.retry_budget is not None:
             st.retry_budget -= 1
             if st.retry_budget <= 0:
-                self._note_budget_exhausted(st)
+                self.ledger.exhaust_budget(st, self.now)
         w.hedge_shard = hedge
         self.hedges_issued += 1
         groups.setdefault((hedge, w.eligible_at + self.ccfg.hedge_delay),
@@ -737,14 +690,6 @@ class ClusterService:
         mx = self.telemetry
         if mx is not None:
             mx.counter("cluster_hedges_issued").inc(1.0, w.eligible_at)
-
-    def _note_budget_exhausted(self, st: _QueryState) -> None:
-        if not st.budget_exhausted:
-            st.budget_exhausted = True
-            self.retry_budget_exhausted += 1
-            mx = self.telemetry
-            if mx is not None:
-                mx.counter("cluster_retry_budget_exhausted").inc(1.0, self.now)
 
     # -------------------------------------------------------------- barrier
 
@@ -775,17 +720,12 @@ class ClusterService:
                     w.vertex = int(v)
                     self.segments_committed += 1
                     if w.remaining <= 0:
-                        w.state = "done"
-                        self.walks_done += 1
-                        self._credit(w, t_next)
-                    elif dead_prop and self.states[w.query_id].responded:
+                        self._finish(w, t_next)
+                    elif dead_prop and self.ledger.states[w.query_id].responded:
                         # Deadline propagation: the query is already
                         # answered, so don't requeue (or worse, migrate)
                         # a walk whose result nobody will read.
-                        w.state = "done"
-                        self.walks_done += 1
-                        self.walks_sacrificed += 1
-                        self._credit(w, t_next, sacrificed=True)
+                        self._finish(w, t_next, sacrificed=True)
                     elif int(owner) == sid:
                         w.state = "queued"
                         w.eligible_at = t_next
@@ -864,14 +804,9 @@ class ClusterService:
             self.segments_committed += 1
             owner = int(placement.shard_of(np.int64(v_win)))
             if w.remaining <= 0:
-                w.state = "done"
-                self.walks_done += 1
-                self._credit(w, t_win)
-            elif dead_prop and self.states[w.query_id].responded:
-                w.state = "done"
-                self.walks_done += 1
-                self.walks_sacrificed += 1
-                self._credit(w, t_win, sacrificed=True)
+                self._finish(w, t_win)
+            elif dead_prop and self.ledger.states[w.query_id].responded:
+                self._finish(w, t_win, sacrificed=True)
             elif owner == sid_win:
                 w.state = "queued"
                 w.eligible_at = t_win
@@ -887,6 +822,7 @@ class ClusterService:
         self, migrating: dict[tuple[int, int], list[_Walk]], t_next: float
     ) -> None:
         mx = self.telemetry
+        states = self.ledger.states
         budgeted = (
             self.ccfg.deadline_propagation and self.ccfg.query_retry_budget > 0
         )
@@ -897,9 +833,9 @@ class ClusterService:
                 # The batch retries as one message, so its retransmit
                 # allowance is the tightest member query's remainder.
                 rems = [
-                    self.states[w.query_id].retry_budget
+                    states[w.query_id].retry_budget
                     for w in batch
-                    if self.states[w.query_id].retry_budget is not None
+                    if states[w.query_id].retry_budget is not None
                 ]
                 if rems:
                     cap = max(0, min(rems))
@@ -907,12 +843,12 @@ class ClusterService:
             if budgeted and self.link.last_retransmits:
                 used = self.link.last_retransmits
                 for w in batch:
-                    st = self.states[w.query_id]
+                    st = states[w.query_id]
                     if st.retry_budget is None:
                         continue
                     st.retry_budget = max(0, st.retry_budget - used)
                     if st.retry_budget <= 0:
-                        self._note_budget_exhausted(st)
+                        self.ledger.exhaust_budget(st, self.now)
             self.migrations_out[src] += len(batch)
             self.migrations_in[dst] += len(batch)
             if mx is not None:
@@ -940,53 +876,21 @@ class ClusterService:
                 float(self.walks_created - self.walks_done), t_next
             )
 
-    def _credit(self, w: _Walk, t: float, *, sacrificed: bool = False) -> None:
-        st = self.states[w.query_id]
-        st.walks_done += 1
-        if st.responded:
-            if not sacrificed:
-                self.zombie_walks += 1
-        elif st.walks_done >= st.req.num_walks and t <= st.deadline_abs:
-            self._respond(st, "ok", t)
+    def _finish(self, w: _Walk, t: float, *, sacrificed: bool = False) -> None:
+        """Retire a walk and credit it to its query at ``t``."""
+        w.state = "done"
+        self.walks_done += 1
+        if sacrificed:
+            self.walks_sacrificed += 1
+        self.ledger.credit(w.query_id, 1, t, sacrificed=sacrificed)
 
     def _sweep_deadlines(self, t: float) -> None:
-        for qid in sorted(self.states):
-            st = self.states[qid]
+        states = self.ledger.states
+        for qid in sorted(states):
+            st = states[qid]
             if not st.responded and st.deadline_abs <= t:
                 # Answered *at* the deadline with whatever finished.
-                self._respond(st, "timed_out", st.deadline_abs)
-
-    def _respond(self, st: _QueryState, status: str, t: float, *,
-                 shed_reason: str | None = None) -> None:
-        st.responded = True
-        latency = 0.0 if status == "shed" else t - st.t_arrival
-        self.responses.append(
-            QueryResult(
-                query_id=st.req.query_id,
-                arrival=st.req.arrival,
-                admitted=st.admitted,
-                status=status,
-                walks_requested=st.req.num_walks,
-                walks_completed=st.walks_done,
-                finish_time=t,
-                latency=latency,
-                shed_reason=shed_reason,
-            )
-        )
-        if status == "ok":
-            self.ok_count += 1
-        elif status == "timed_out":
-            self.timed_out_count += 1
-        else:
-            self.shed_count += 1
-        mx = self.telemetry
-        if mx is not None:
-            mx.counter("cluster_responses").inc(1.0, t)
-            mx.counter("cluster_status", status=status).inc(1.0, t)
-            if status == "timed_out":
-                mx.counter("cluster_deadline_misses").inc(1.0, t)
-            elif status == "shed":
-                mx.counter("cluster_shed").inc(1.0, t)
+                self.ledger.respond(st, "timed_out", st.deadline_abs)
 
     # ------------------------------------------------------------- idle time
 
@@ -997,7 +901,7 @@ class ClusterService:
             return False
         if any(w.state != "done" for w in self.walks.values()):
             return False
-        return all(st.responded for st in self.states.values())
+        return not self.ledger.pending()
 
     def _advance_clock(self, T: float, arrivals, next_arrival: int,
                        open_now: list[bool]) -> float:
@@ -1034,46 +938,12 @@ class ClusterService:
     # --------------------------------------------------------------- report
 
     def _service_section(self) -> dict:
-        ok_lat = np.asarray(
-            [r.latency for r in self.responses if r.status == "ok"],
-            dtype=float,
+        section = self.ledger.section(
+            {"created": self.walks_created, "done": self.walks_done}
         )
-        if ok_lat.size:
-            p50, p95, p99 = (
-                float(np.percentile(ok_lat, q)) for q in (50.0, 95.0, 99.0)
-            )
-            lat = {
-                "n": int(ok_lat.size),
-                "mean": float(ok_lat.mean()),
-                "max": float(ok_lat.max()),
-                "p50": p50,
-                "p95": p95,
-                "p99": p99,
-            }
-        else:
-            lat = {
-                "n": 0, "mean": 0.0, "max": 0.0,
-                "p50": 0.0, "p95": 0.0, "p99": 0.0,
-            }
-        arrivals = max(self.arrivals, 1)
-        return {
-            "requests": {
-                "arrivals": self.arrivals,
-                "ok": self.ok_count,
-                "timed_out": self.timed_out_count,
-                "shed": self.shed_count,
-            },
-            "walks": {
-                "created": self.walks_created,
-                "done": self.walks_done,
-                "zombie": self.zombie_walks,
-            },
-            "latency": lat,
-            "shed_rate": self.shed_count / arrivals,
-            "deadline_miss_rate": self.timed_out_count / arrivals,
-            "queue": self.queue.stats(),
-            "deferrals": self.deferrals,
-        }
+        section["queue"] = self.queue.stats()
+        section["deferrals"] = self.deferrals
+        return section
 
     def _build_report(self, shard_reports: list[dict], *, jobs: int) -> dict:
         rtos = [f["rto_time"] for f in self.failovers if "rto_time" in f]
@@ -1138,7 +1008,7 @@ class ClusterService:
         if gray:
             section = {
                 "walks_sacrificed": self.walks_sacrificed,
-                "retry_budget_exhausted": self.retry_budget_exhausted,
+                "retry_budget_exhausted": self.ledger.retry_budget_exhausted,
             }
             if self.ccfg.straggler_detection:
                 section["stragglers"] = {
@@ -1188,7 +1058,7 @@ class ClusterService:
                     "latency": r.latency,
                     "shed_reason": r.shed_reason,
                 }
-                for r in self.responses
+                for r in self.ledger.responses
             ],
             "shards": shard_reports,
             "cluster": cluster,

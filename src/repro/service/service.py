@@ -5,7 +5,9 @@ in a deterministic, simulated-time serving loop: queries arrive on an
 open-loop schedule, pass the admission queue and circuit breaker, and
 are injected into the engine as walk batches whose ``src`` field carries
 the query id (the engine never reads ``src`` as a graph index, so it is
-a free attribution channel).  Completions are credited back to queries
+a free attribution channel).  Per-query state, crediting and responses
+live in the :class:`~repro.service.ledger.QueryLedger`, shared with the
+cluster front-end.  Completions are credited back to queries
 by a completion hook; a deadline event per admitted query enforces
 partial-result semantics — when it fires first, the query is answered
 with however many walks finished, flagged ``timed_out``, and its
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..common.errors import ConfigError, SimulationError
+from ..common.errors import SimulationError
 from ..core.buffers import WalkBatch
 from ..core.metrics import RunResult
 from ..obs.alerts import default_service_rules
@@ -42,6 +44,7 @@ from ..walks.state import WalkSet
 from .audit import ServiceAuditor
 from .breaker import CircuitBreaker
 from .config import ServiceConfig
+from .ledger import QueryLedger
 from .queue import AdmissionQueue
 from .request import QueryRequest, QueryResult
 
@@ -53,21 +56,6 @@ __all__ = ["ServiceOutcome", "WalkQueryService"]
 _LATENCY_BUCKETS = (
     1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1,
 )
-
-
-@dataclass
-class _QueryState:
-    """Mutable per-query bookkeeping while a request is live."""
-
-    req: QueryRequest
-    t_arrival: float
-    deadline_abs: float
-    walks_done: int = 0
-    injected: bool = False
-    responded: bool = False
-    deadline_event: object | None = None
-    #: Breaker-reopen retries left (None when budgets are off).
-    retry_budget: int | None = None
 
 
 @dataclass
@@ -100,18 +88,15 @@ class WalkQueryService:
         )
         self.breaker = CircuitBreaker(self.cfg, fw)
         self.auditor = ServiceAuditor(self, self.cfg.audit_interval_events)
-        self.states: dict[int, _QueryState] = {}
-        self.responses: list[QueryResult] = []
+        # Breaker-reopen retries are what the per-query budget pays for.
+        self.ledger = QueryLedger(
+            "service", lambda: self.fw.telemetry,
+            retry_budget=self.cfg.query_retry_budget,
+            on_respond=self._on_respond,
+        )
         # Accounting the auditor cross-checks against the engine.
-        self.arrivals = 0
-        self.ok_count = 0
-        self.timed_out_count = 0
-        self.shed_count = 0
         self.walks_injected = 0
-        self.zombie_walks = 0
-        self.deadline_misses = 0
         self.deferrals = 0
-        self.retry_budget_exhausted = 0
         if self.cfg.brownout_enabled:
             from collections import deque
 
@@ -166,20 +151,7 @@ class WalkQueryService:
         :class:`~repro.common.errors.PowerLossError` if a scheduled
         power loss fires mid-run (call :meth:`resume` to recover).
         """
-        if not requests:
-            raise ConfigError("no requests to serve")
-        seen: set[int] = set()
-        for req in requests:
-            req.validate()
-            if req.query_id in seen:
-                raise ConfigError(f"duplicate query_id {req.query_id}")
-            seen.add(req.query_id)
-            if req.length > self.cfg.max_walk_length:
-                raise ConfigError(
-                    f"query {req.query_id}: length {req.length} exceeds the "
-                    f"service max_walk_length {self.cfg.max_walk_length}"
-                )
-        ordered = sorted(requests, key=lambda r: (r.arrival, r.query_id))
+        ordered = QueryLedger.validated(requests, self.cfg.max_walk_length)
         self._requests = ordered
         fw = self.fw
         expected = sum(r.num_walks for r in ordered)
@@ -205,7 +177,9 @@ class WalkQueryService:
             fw._on_completed = None
         result = fw._finalize_run()
         result.service = self._service_section()
-        return ServiceOutcome(result=result, responses=list(self.responses))
+        return ServiceOutcome(
+            result=result, responses=list(self.ledger.responses)
+        )
 
     # ------------------------------------------------------------- durability
 
@@ -218,31 +192,9 @@ class WalkQueryService:
         mutated after creation, so they are stored by reference.
         """
         snap = {
-            "queries": [
-                {
-                    "req": st.req,
-                    "t_arrival": st.t_arrival,
-                    "deadline_abs": st.deadline_abs,
-                    "walks_done": st.walks_done,
-                    "injected": st.injected,
-                    "responded": st.responded,
-                    **(
-                        {"retry_budget": st.retry_budget}
-                        if st.retry_budget is not None
-                        else {}
-                    ),
-                }
-                for st in self.states.values()
-            ],
-            "responses": list(self.responses),
+            "ledger": self.ledger.state(),
             "counters": {
-                "arrivals": self.arrivals,
-                "ok_count": self.ok_count,
-                "timed_out_count": self.timed_out_count,
-                "shed_count": self.shed_count,
                 "walks_injected": self.walks_injected,
-                "zombie_walks": self.zombie_walks,
-                "deadline_misses": self.deadline_misses,
                 "deferrals": self.deferrals,
                 "reopen_attempts": self._reopen_attempts,
             },
@@ -265,12 +217,6 @@ class WalkQueryService:
             },
             "t0": self._t0,
         }
-        # Gray-resilience state rides along only when the knob is on,
-        # so disabled configs keep pre-gray checkpoints byte-identical.
-        if self.cfg.query_retry_budget > 0:
-            snap["counters"]["retry_budget_exhausted"] = (
-                self.retry_budget_exhausted
-            )
         if self.brownout is not None:
             snap["brownout"] = {
                 "controller": self.brownout.snapshot(),
@@ -280,30 +226,11 @@ class WalkQueryService:
 
     def _restore_state(self, d: dict) -> None:
         """Inverse of :meth:`_snapshot_state`."""
-        self.states = {}
-        for q in d["queries"]:
-            st = _QueryState(
-                req=q["req"],
-                t_arrival=q["t_arrival"],
-                deadline_abs=q["deadline_abs"],
-                walks_done=q["walks_done"],
-                injected=q["injected"],
-                responded=q["responded"],
-                retry_budget=q.get("retry_budget"),
-            )
-            self.states[st.req.query_id] = st
-        self.responses = list(d["responses"])
+        self.ledger.load_state(d["ledger"])
         c = d["counters"]
-        self.arrivals = c["arrivals"]
-        self.ok_count = c["ok_count"]
-        self.timed_out_count = c["timed_out_count"]
-        self.shed_count = c["shed_count"]
         self.walks_injected = c["walks_injected"]
-        self.zombie_walks = c["zombie_walks"]
-        self.deadline_misses = c["deadline_misses"]
         self.deferrals = c["deferrals"]
-        self._reopen_attempts = c.get("reopen_attempts", 0)
-        self.retry_budget_exhausted = c.get("retry_budget_exhausted", 0)
+        self._reopen_attempts = c["reopen_attempts"]
         if self.brownout is not None and "brownout" in d:
             bo = d["brownout"]
             self.brownout.restore(bo["controller"])
@@ -312,7 +239,9 @@ class WalkQueryService:
             self.queue.rate_factor = self.brownout.admit_rate_factor()
         q = d["queue"]
         self.queue._q.clear()
-        self.queue._q.extend(self.states[qid].req for qid in q["ids"])
+        self.queue._q.extend(
+            self.ledger.states[qid].req for qid in q["ids"]
+        )
         self.queue._tokens = q["tokens"]
         self.queue._last_refill = q["last_refill"]
         self.queue.admitted = q["admitted"]
@@ -371,12 +300,12 @@ class WalkQueryService:
         self._retry_scheduled = False
         try:
             for req in self._requests:
-                if req.query_id not in self.states:
+                if req.query_id not in self.ledger.states:
                     fw.sim.at(
                         max(now, self._t0 + req.arrival),
                         lambda r=req: self._arrive(r),
                     )
-            for st in self.states.values():
+            for st in self.ledger.states.values():
                 if not st.responded:
                     st.deadline_event = fw.sim.at(
                         max(now, st.deadline_abs),
@@ -393,36 +322,27 @@ class WalkQueryService:
         result.service = self._service_section()
         if result.durability is not None:
             result.durability = dict(result.durability, recovery=ctx)
-        return ServiceOutcome(result=result, responses=list(self.responses))
+        return ServiceOutcome(
+            result=result, responses=list(self.ledger.responses)
+        )
 
     # ------------------------------------------------------------ admission
 
     def _arrive(self, req: QueryRequest) -> None:
         t = self.fw.sim.now
-        self.arrivals += 1
-        mx = self._mx
-        if mx is not None:
-            mx.counter("service_arrivals").inc(1.0, t)
-        st = _QueryState(req=req, t_arrival=t, deadline_abs=t + req.deadline)
-        if self.cfg.query_retry_budget > 0:
-            st.retry_budget = self.cfg.query_retry_budget
-        self.states[req.query_id] = st
+        st = self.ledger.open(req, t)
         if (
             self.cfg.breaker_enabled
             and self.cfg.breaker_policy == "shed"
             and self.breaker.is_open(t)
         ):
-            self._respond(st, "shed", t, shed_reason="breaker-open", admitted=False)
+            self.ledger.respond(st, "shed", t, shed_reason="breaker-open")
             self.auditor.maybe_audit()
             return
-        admitted, evicted, refusal = self.queue.offer(req, t)
-        if evicted is not None:
-            ev = self.states[evicted.query_id]
-            self._respond(ev, "shed", t, shed_reason="shed-oldest", admitted=True)
-        if not admitted:
-            self._respond(st, "shed", t, shed_reason=refusal, admitted=False)
+        if not self.ledger.offer(st, self.queue, t):
             self.auditor.maybe_audit()
             return
+        mx = self._mx
         if mx is not None:
             mx.gauge("service_queue_depth").set(float(len(self.queue)), t)
         st.deadline_event = self.fw.sim.at(
@@ -451,13 +371,8 @@ class WalkQueryService:
 
     def _dispatch(self, t: float) -> None:
         fw = self.fw
-        while len(self.queue):
-            head = self.queue.peek()
-            st = self.states[head.query_id]
-            if st.responded:
-                # Timed out or shed while queued; nothing to inject.
-                self.queue.pop()
-                continue
+        while (st := self.ledger.next_queued(self.queue)) is not None:
+            head = st.req
             if self.cfg.breaker_enabled and self.cfg.breaker_policy == "defer":
                 if self.breaker.is_open(t):
                     if st.retry_budget is not None and (
@@ -469,17 +384,11 @@ class WalkQueryService:
                         # so it is never charged (the deadline event
                         # owns that query).
                         if st.retry_budget <= 0:
-                            self.retry_budget_exhausted += 1
-                            mx = self._mx
-                            if mx is not None:
-                                mx.counter(
-                                    "service_retry_budget_exhausted"
-                                ).inc(1.0, t)
+                            self.ledger.exhaust_budget(st, t)
                             self.queue.pop()
-                            self._respond(
+                            self.ledger.respond(
                                 st, "shed", t,
                                 shed_reason="retry-budget-exhausted",
-                                admitted=True,
                             )
                             continue
                         st.retry_budget -= 1
@@ -552,28 +461,17 @@ class WalkQueryService:
             return
         # Credit, and answer, queries in ascending ID order.
         for qid, n in sorted(Counter(walks.src).items()):
-            st = self.states[qid]
-            st.walks_done += n
-            if st.responded:
-                # Walks of an already-answered (timed out) query running
-                # to completion in the background.
-                self.zombie_walks += n
-            elif st.walks_done >= st.req.num_walks and t <= st.deadline_abs:
-                self._respond(st, "ok", t, admitted=True)
+            self.ledger.credit(qid, n, t)
         if len(self.queue):
             self._schedule_dispatch()
         self.auditor.maybe_audit()
 
     def _deadline(self, query_id: int) -> None:
-        st = self.states[query_id]
+        st = self.ledger.states[query_id]
         st.deadline_event = None
         if st.responded:
             return
-        self.deadline_misses += 1
-        mx = self._mx
-        if mx is not None:
-            mx.counter("service_deadline_misses").inc(1.0, self.fw.sim.now)
-        self._respond(st, "timed_out", self.fw.sim.now, admitted=True)
+        self.ledger.respond(st, "timed_out", self.fw.sim.now)
         # Freed deadline headroom does not add capacity, but queued
         # work may have been blocked purely on this query's backlog.
         if len(self.queue):
@@ -581,61 +479,23 @@ class WalkQueryService:
 
     # ------------------------------------------------------------ responses
 
-    def _respond(
-        self,
-        st: _QueryState,
-        status: str,
-        t: float,
-        *,
-        admitted: bool,
-        shed_reason: str | None = None,
-    ) -> None:
-        st.responded = True
-        if st.deadline_event is not None:
-            st.deadline_event.cancel()
-            st.deadline_event = None
-        latency = 0.0 if status == "shed" else t - st.t_arrival
-        self.responses.append(
-            QueryResult(
-                query_id=st.req.query_id,
-                arrival=st.req.arrival,
-                admitted=admitted,
-                status=status,
-                walks_requested=st.req.num_walks,
-                walks_completed=st.walks_done,
-                finish_time=t,
-                latency=latency,
-                shed_reason=shed_reason,
-            )
-        )
-        stats = self.fw.metrics.stats
-        if status == "ok":
-            self.ok_count += 1
-            stats.counter("svc_queries_ok").add(1)
-        elif status == "timed_out":
-            self.timed_out_count += 1
-            stats.counter("svc_queries_timed_out").add(1)
-        else:
-            self.shed_count += 1
-            stats.counter("svc_queries_shed").add(1)
+    def _on_respond(self, r: QueryResult) -> None:
+        """Ledger hook: what else one answer moves in the service."""
+        t = r.finish_time
+        self.fw.metrics.stats.counter(f"svc_queries_{r.status}").add(1)
         mx = self._mx
-        if mx is not None:
-            mx.counter("service_responses").inc(1.0, t)
-            mx.counter("service_status", status=status).inc(1.0, t)
-            if status == "shed":
-                mx.counter("service_shed").inc(1.0, t)
-            else:
-                mx.histogram("service_latency_seconds",
-                             _LATENCY_BUCKETS).observe(latency, t)
+        if mx is not None and r.status != "shed":
+            mx.histogram("service_latency_seconds",
+                         _LATENCY_BUCKETS).observe(r.latency, t)
         if self.brownout is not None:
             # Deadline misses are the service's gray-failure pressure
             # signal; sheds are excluded (they are the brownout's own
             # output, and feeding them back would latch it on).
-            self._recent_misses.append(1 if status == "timed_out" else 0)
+            self._recent_misses.append(1 if r.status == "timed_out" else 0)
             pressure = sum(self._recent_misses) / len(self._recent_misses)
             was = self.brownout.active
             self.brownout.observe(
-                pressure, epoch=len(self.responses), now=t
+                pressure, epoch=len(self.ledger.responses), now=t
             )
             self.queue.rate_factor = self.brownout.admit_rate_factor()
             if mx is not None and self.brownout.active != was:
@@ -646,48 +506,18 @@ class WalkQueryService:
     # --------------------------------------------------------------- report
 
     def _service_section(self) -> dict:
-        ok_lat = np.asarray(
-            [r.latency for r in self.responses if r.status == "ok"], dtype=float
-        )
-        if ok_lat.size:
-            p50, p95, p99 = (
-                float(np.percentile(ok_lat, q)) for q in (50.0, 95.0, 99.0)
-            )
-            lat = {
-                "n": int(ok_lat.size),
-                "mean": float(ok_lat.mean()),
-                "max": float(ok_lat.max()),
-                "p50": p50,
-                "p95": p95,
-                "p99": p99,
-            }
-        else:
-            lat = {"n": 0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        arrivals = max(self.arrivals, 1)
-        requests = {
-            "arrivals": self.arrivals,
-            "ok": self.ok_count,
-            "timed_out": self.timed_out_count,
-            "shed": self.shed_count,
-            "deadline_misses": self.deadline_misses,
-        }
+        ledger = self.ledger
+        section = ledger.section({"injected": self.walks_injected})
+        requests = section["requests"]
+        # Every deadline miss is answered timed_out, and only those are.
+        requests["deadline_misses"] = ledger.answered["timed_out"]
         # Gray-resilience keys only appear with their knob on, so
         # legacy reports stay byte-identical.
         if self.cfg.query_retry_budget > 0:
-            requests["retry_budget_exhausted"] = self.retry_budget_exhausted
-        section = {
-            "requests": requests,
-            "walks": {
-                "injected": self.walks_injected,
-                "zombie": self.zombie_walks,
-            },
-            "latency": lat,
-            "shed_rate": self.shed_count / arrivals,
-            "deadline_miss_rate": self.timed_out_count / arrivals,
-            "queue": self.queue.stats(),
-            "breaker": {**self.breaker.stats(), "deferrals": self.deferrals},
-            "audit": self.auditor.stats(),
-        }
+            requests["retry_budget_exhausted"] = ledger.retry_budget_exhausted
+        section["queue"] = self.queue.stats()
+        section["breaker"] = {**self.breaker.stats(), "deferrals": self.deferrals}
+        section["audit"] = self.auditor.stats()
         if self.brownout is not None:
             section["brownout"] = self.brownout.stats()
         return section

@@ -70,13 +70,22 @@ class TestPackageSurface:
         assert repro.__version__ == "1.0.0"
 
     def test_subpackage_exports(self):
+        import repro.baselines as baselines
+        import repro.cluster as cluster
         import repro.common as c
         import repro.core as core
+        import repro.durability as durability
+        import repro.experiments as experiments
+        import repro.faults as faults
         import repro.flash as flash
         import repro.graph as graph
+        import repro.obs as obs
+        import repro.parallel as parallel
+        import repro.service as service
         import repro.sim as sim
         import repro.walks as walks
 
-        for mod in (c, core, flash, graph, sim, walks):
+        for mod in (c, core, flash, graph, sim, walks, service, cluster, obs,
+                    faults, durability, parallel, experiments, baselines):
             for name in mod.__all__:
                 assert getattr(mod, name) is not None, f"{mod.__name__}.{name}"
